@@ -35,13 +35,11 @@ class RunConfig:
 
     cap_n bounds codimension degrees; cap_evals bounds nominal enumeration
     sizes before a computation is refused; mod_p turns on modular screening of
-    exact ranks; threads is accepted for interface stability (evaluation is
-    sequential); seed drives every randomized fallback."""
+    exact ranks; seed drives every randomized fallback."""
 
     cap_n: int = 6
     cap_evals: int = 10**8
     mod_p: int | None = None
-    threads: int = 1
     seed: int = 0
 
 
@@ -101,15 +99,32 @@ class ThresholdOffsetReport:
 
 
 def kind_basis(A, kind):
-    """Canonical sparse basis of one homogeneous component, or their union."""
-    comp = hom_components(A)
-    if kind == ANY:
-        vecs = []
-        for k in KINDS:
-            vecs.extend(comp.by_kind(k).basis)
-    else:
-        vecs = comp.by_kind(kind).basis
-    return [to_sparse(list(v)) for v in vecs]
+    """Canonical sparse basis of one homogeneous component, or their union.
+
+    Cached on the algebra as a tuple; callers must not mutate the vectors."""
+    basis = A._kind_bases.get(kind)
+    if basis is None:
+        comp = hom_components(A)
+        if kind == ANY:
+            vecs = []
+            for k in KINDS:
+                vecs.extend(comp.by_kind(k).basis)
+        else:
+            vecs = comp.by_kind(kind).basis
+        basis = A._kind_bases[kind] = tuple(to_sparse(list(v)) for v in vecs)
+    return basis
+
+
+def left_supports(A, kind):
+    """Left support L(x) = {i : e_i x != 0} of each kind_basis vector, cached on
+    the algebra. A vector v has v x = 0 whenever supp(v) misses L(x)."""
+    supports = A._left_supports.get(kind)
+    if supports is None:
+        supports = A._left_supports[kind] = tuple(
+            frozenset(i for i in range(A.dim) if sparse_mul(A, {i: 1}, x))
+            for x in kind_basis(A, kind)
+        )
+    return supports
 
 
 def _dense(A, sv):
@@ -126,7 +141,18 @@ def _first_nonzero(A, m, kind, deleted, config):
     deleted=None sweeps every deletion pattern in one shared-prefix search;
     a frozenset pins a single member. Canonical order: alternating tuples
     lexicographic, then per gap each connector index ascending, skip last.
-    Returns a raw witness or None when every evaluation vanishes."""
+    Returns a raw witness or None when every evaluation vanishes.
+
+    Only work that can change the answer is done. A connector whose left
+    support misses every state's support would give no states, so it is not
+    tried, and the DP skips the same way per state (left_supports). Within one
+    alternating tuple the subtree below a gap depends only on the gap and the
+    joined states, so a pair (gap, states) whose subtree vanished once is not
+    searched again. The key lists the states in insertion order, so equal
+    states met in another order are only searched twice. A pinned deleted gap
+    has one option and its states are the extension of the parent's, so it
+    keeps no key. Skipped options are exactly those the plain search finds
+    empty or vanishing, so the first witness is the same."""
     alt_dom = kind_basis(A, kind)
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
@@ -138,6 +164,8 @@ def _first_nonzero(A, m, kind, deleted, config):
         raise SizeCapError(
             f"barred Capelli sweep at rank {m} needs {nominal} evaluations, cap is {config.cap_evals}"
         )
+    alt_dom_left = left_supports(A, kind)
+    conn_left = left_supports(A, ANY)
     full = (1 << m) - 1
 
     def rec(g, states, choices):
@@ -148,34 +176,46 @@ def _first_nonzero(A, m, kind, deleted, config):
                 conn = [conn_dom[c] for c in choices if c is not None]
                 return dels, conn, v
             return None
-        if deleted is None:
-            options = list(range(len(conn_dom))) + [None]
-        elif g in deleted:
+        forced = deleted is not None and g in deleted
+        if forced:
             options = [None]
         else:
-            options = list(range(len(conn_dom)))
+            supp = set().union(*states.values())
+            options = [c for c, left in enumerate(conn_left) if not left.isdisjoint(supp)]
+            if deleted is None:
+                options.append(None)
         for opt in options:
             if opt is None:
                 joined = states
             else:
                 joined = {}
-                x = conn_dom[opt]
+                x, left = conn_dom[opt], conn_left[opt]
                 for mask, v in states.items():
+                    if left.isdisjoint(v):
+                        continue
                     w = sparse_mul(A, v, x)
                     if w:
                         joined[mask] = w
                 if not joined:
                     continue
-            nxt = _extend_alternating(A, joined, alt_vecs, m)
-            if not nxt:
-                continue
-            hit = rec(g + 1, nxt, choices + [opt])
+            if forced:
+                key = None
+            else:
+                key = (g, tuple((mask, tuple(v.items())) for mask, v in joined.items()))
+                if key in vanished:
+                    continue
+            nxt = _extend_alternating(A, joined, alt_vecs, m, alt_left)
+            hit = rec(g + 1, nxt, choices + [opt]) if nxt else None
             if hit:
                 return hit
+            if key is not None:
+                vanished.add(key)
         return None
 
     for alt_idx in combinations(range(len(alt_dom)), m):
         alt_vecs = [alt_dom[t] for t in alt_idx]
+        alt_left = [alt_dom_left[t] for t in alt_idx]
+        vanished = set()
         states = {1 << t: alt_vecs[t] for t in range(m)}
         hit = rec(0, states, [])
         if hit:
@@ -244,6 +284,7 @@ def _build_witness(A, raw, config):
         raise InternalInconsistencyError("witness does not replay through the fast evaluator")
     poly = capelli_member(shape.rank, shape.kind, shape.deleted)
     assignment = [dict(v) for v in alt_vecs] + [dict(v) for v in conn_vecs]
+    # term-by-term replay up to rank 7; the m! terms are built only here
     if factorial(shape.rank) <= 5040:
         naive = evaluate_sparse(A, poly, assignment)
         if naive != value:
@@ -480,12 +521,17 @@ def _multinomial(n, content):
     return v
 
 
+def _check_degree(n, config):
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"codimension degree must be a positive integer, got {n!r}")
+    if n > config.cap_n:
+        raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
+
+
 def codim_graded(A, n, config=DEFAULT_CONFIG):
     """The degree-n codimension of the typed multilinear identities: summed over
     kind contents, each content's evaluation rank times its multinomial weight."""
-    assert n >= 1
-    if n > config.cap_n:
-        raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
+    _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
     primes = (config.mod_p,) if config.mod_p else ()
     total = 0
@@ -502,9 +548,7 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
 
 def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
     """Same value as codim_graded, summed over all 4^n kind vectors directly."""
-    assert n >= 1
-    if n > config.cap_n:
-        raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
+    _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
     primes = (config.mod_p,) if config.mod_p else ()
     total = 0
@@ -515,9 +559,7 @@ def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
 
 def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
-    assert n >= 1
-    if n > config.cap_n:
-        raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
+    _check_degree(n, config)
     dom = [A.basis_sparse(k) for k in range(A.dim)]
     primes = (config.mod_p,) if config.mod_p else ()
     r = _assignment_rank(A, [dom] * n, config, primes)
@@ -526,6 +568,7 @@ def codim_ordinary(A, n, config=DEFAULT_CONFIG):
 
 def codim_table(A, n_max, config=DEFAULT_CONFIG):
     """Graded codimensions 1..n_max with their n-th roots."""
+    _check_degree(n_max, config)
     rows = []
     for n in range(1, n_max + 1):
         rep = codim_graded(A, n, config)

@@ -69,13 +69,12 @@ def guarded(f):
 @click.option("--cap-n", default=6, show_default=True, help="largest codimension degree")
 @click.option("--cap-evals", default=10**8, show_default=True, help="largest nominal enumeration")
 @click.option("--mod-p", default=None, type=int, help="screen exact ranks modulo this prime")
-@click.option("--threads", default=1, show_default=True, help="accepted; evaluation is sequential")
 @click.option("--seed", default=0, show_default=True, help="seed for randomized fallbacks")
 @click.option("--out", default=None, type=click.Path(), help="write the report here instead of stdout")
 @click.pass_context
-def main(ctx, cap_n, cap_evals, mod_p, threads, seed, out):
+def main(ctx, cap_n, cap_evals, mod_p, seed, out):
     """Exact constructions and identity checks for superalgebras with involution."""
-    ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, mod_p=mod_p, threads=threads, seed=seed), out)
+    ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, mod_p=mod_p, seed=seed), out)
 
 
 def _subject(spec, input_path):

@@ -76,15 +76,21 @@ class StarSuperAlgebra:
         self._star_sparse = None
         self._hom = None
         self._radical = None
+        self._kind_bases = {}
+        self._left_supports = {}
 
-    def mul_pairs(self, i, j):
-        """Sparse product of basis i and basis j as a tuple of (index, coeff) pairs."""
+    def pair_rows(self):
+        """Row table of the products: pair_rows()[i][j] is mul_pairs(i, j) when nonzero."""
         if self._pairs is None:
             rows = [dict() for _ in range(self.dim)]
             for (i0, j0), row in self.structure.items():
                 rows[i0][j0] = tuple(sorted(row.items()))
             self._pairs = rows
-        return self._pairs[i].get(j, ())
+        return self._pairs
+
+    def mul_pairs(self, i, j):
+        """Sparse product of basis i and basis j as a tuple of (index, coeff) pairs."""
+        return self.pair_rows()[i].get(j, ())
 
     def star_sparse(self, k):
         """Image of basis k under the involution, as a sparse dict."""
@@ -104,15 +110,19 @@ class StarSuperAlgebra:
 
 def sparse_mul(A, u, v):
     """Product of two sparse vectors under A's structure table."""
+    rows = A.pair_rows()
     out = {}
     for i, ci in u.items():
+        row = rows[i]
+        if not row:
+            continue
         for j, cj in v.items():
-            pr = A.mul_pairs(i, j)
+            pr = row.get(j)
             if pr:
                 cij = ci * cj
                 for k, c in pr:
                     out[k] = out.get(k, 0) + cij * c
-    return {k: _as_num(c) for k, c in out.items() if c != 0}
+    return {k: c if isinstance(c, int) else _as_num(c) for k, c in out.items() if c != 0}
 
 
 def sparse_star(A, u):
@@ -156,13 +166,15 @@ def validate(A):
     """Check every structural invariant; returns a list of violation strings."""
     report = []
     d = A.dim
+    # basis products e_j e_k, each computed once
+    prods = [[sparse_mul(A, {j: 1}, {k: 1}) for k in range(d)] for j in range(d)]
     # associativity on all basis triples
     for i in range(d):
         for j in range(d):
-            ij = sparse_mul(A, {i: 1}, {j: 1})
+            ij = prods[i][j]
             for k in range(d):
                 left = sparse_mul(A, ij, {k: 1})
-                right = sparse_mul(A, {i: 1}, sparse_mul(A, {j: 1}, {k: 1}))
+                right = sparse_mul(A, {i: 1}, prods[j][k])
                 if left != right:
                     report.append(f"associativity fails at basis triple ({i},{j},{k})")
     # grading compatibility of products
@@ -186,10 +198,11 @@ def validate(A):
                 report.append(f"involution grading preservation fails at basis {k}")
                 break
     # antiautomorphism on all basis pairs
+    stars = [sparse_star(A, {k: 1}) for k in range(d)]
     for i in range(d):
         for j in range(d):
-            lhs = sparse_star(A, sparse_mul(A, {i: 1}, {j: 1}))
-            rhs = sparse_mul(A, sparse_star(A, {j: 1}), sparse_star(A, {i: 1}))
+            lhs = sparse_star(A, prods[i][j])
+            rhs = sparse_mul(A, stars[j], stars[i])
             if lhs != rhs:
                 report.append(f"antiautomorphism fails at basis pair ({i},{j})")
     return report

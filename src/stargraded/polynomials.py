@@ -1,7 +1,6 @@
 """Multilinear polynomials with typed slots, Capelli families, and evaluators."""
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .core import sparse_mul, to_dense, to_sparse
 from .linalg import _as_num
@@ -23,31 +22,64 @@ class CapelliShape:
     deleted: frozenset
 
     def __post_init__(self):
-        assert self.rank >= 1
-        assert self.kind in KINDS or self.kind == ANY
-        assert all(0 <= g < self.rank - 1 for g in self.deleted)
+        if not isinstance(self.rank, int) or self.rank < 1:
+            raise ValueError(f"Capelli rank must be a positive integer, got {self.rank!r}")
+        if self.kind not in KINDS and self.kind != ANY:
+            raise ValueError(f"unknown slot kind {self.kind!r}, expected one of {KINDS + (ANY,)}")
+        bad = sorted(g for g in self.deleted if not 0 <= g < self.rank - 1)
+        if bad:
+            raise ValueError(f"deleted gaps {bad} out of range for rank {self.rank}")
 
     @property
     def kept_gaps(self):
         return tuple(g for g in range(self.rank - 1) if g not in self.deleted)
 
 
-@dataclass(frozen=True)
 class MultilinearPoly:
     """Multilinear polynomial: words over slot indices with coefficients.
 
     slot_kinds fixes the admissible substitutions per slot; alt_groups lists
     slot index groups the polynomial alternates in; shape is set for Capelli
-    family members so evaluators can take the fast path."""
+    family members so evaluators can take the fast path. A shaped polynomial
+    may be given terms=None: its m! terms are then built the first time
+    `terms` is read, and equality and hashing go by the shape alone."""
 
-    slot_kinds: tuple
-    terms: dict
-    alt_groups: tuple = ()
-    shape: CapelliShape | None = None
+    __slots__ = ("slot_kinds", "_terms", "alt_groups", "shape")
+
+    def __init__(self, slot_kinds, terms, alt_groups=(), shape=None):
+        if terms is None and shape is None:
+            raise ValueError("a polynomial without a Capelli shape needs its terms")
+        self.slot_kinds = tuple(slot_kinds)
+        self._terms = terms
+        self.alt_groups = tuple(alt_groups)
+        self.shape = shape
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = _capelli_terms(self.shape)
+        return self._terms
 
     @property
     def nslots(self):
         return len(self.slot_kinds)
+
+    def _key(self):
+        if self.shape is not None:
+            return (self.slot_kinds, self.alt_groups, self.shape)
+        return (self.slot_kinds, self.alt_groups, frozenset(self._terms.items()))
+
+    def __eq__(self, other):
+        if not isinstance(other, MultilinearPoly):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = f"shape={self.shape!r}" if self.shape is not None else f"terms={self._terms!r}"
+        return f"MultilinearPoly(slot_kinds={self.slot_kinds!r}, alt_groups={self.alt_groups!r}, {body})"
 
 
 def perm_sign(p):
@@ -59,22 +91,35 @@ def perm_sign(p):
     return -1 if inv % 2 else 1
 
 
+def _capelli_terms(shape):
+    """The m! signed words of a Capelli member, permutations in lexicographic
+    order. Picking the index at position a among the remaining ones adds a
+    inversions, so each pick multiplies the sign by (-1)^a."""
+    m = shape.rank
+    link = [()] * m
+    for r, g in enumerate(shape.kept_gaps):
+        link[g + 1] = (m + r,)
+    terms = {}
+
+    def walk(word, remaining, sign):
+        if not remaining:
+            terms[word] = sign
+            return
+        pre = word + link[m - len(remaining)]
+        for a, t in enumerate(remaining):
+            walk(pre + (t,), remaining[:a] + remaining[a + 1 :], -sign if a & 1 else sign)
+
+    walk((), tuple(range(m)), 1)
+    return terms
+
+
 def capelli_member(m, kind, deleted=()):
     """One member of the barred Capelli family: m alternating slots of the given
-    kind with connector slots in the non-deleted gaps."""
+    kind with connector slots in the non-deleted gaps. Its terms are built
+    only when read."""
     shape = CapelliShape(m, kind, frozenset(deleted))
-    kept = shape.kept_gaps
-    conn_slot = {g: m + r for r, g in enumerate(kept)}
-    terms = {}
-    for perm in permutations(range(m)):
-        word = [perm[0]]
-        for g in range(m - 1):
-            if g in conn_slot:
-                word.append(conn_slot[g])
-            word.append(perm[g + 1])
-        terms[tuple(word)] = perm_sign(perm)
-    slot_kinds = (kind,) * m + (ANY,) * len(kept)
-    return MultilinearPoly(slot_kinds, terms, (tuple(range(m)),), shape)
+    slot_kinds = (kind,) * m + (ANY,) * len(shape.kept_gaps)
+    return MultilinearPoly(slot_kinds, None, (tuple(range(m)),), shape)
 
 
 def capelli_graded(m, kind):
@@ -99,16 +144,18 @@ def barred_capelli_set(m, kind):
 def generator_family(rank_yp, rank_ym, rank_zp, rank_zm):
     """The generator family at the four given ranks: concatenated barred sets in
     kind order y+, y-, z+, z-."""
-    assert rank_yp >= 1 and rank_ym >= 1 and rank_zp >= 1 and rank_zm >= 1
     out = []
     for rank, kind in ((rank_yp, YPLUS), (rank_ym, YMINUS), (rank_zp, ZPLUS), (rank_zm, ZMINUS)):
+        if rank < 1:
+            raise ValueError(f"generator rank for {kind} must be at least 1, got {rank}")
         out.extend(barred_capelli_set(rank, kind))
     return out
 
 
 def evaluate_sparse(A, p, assignment):
     """Term-by-term value of p on sparse vectors, one per slot."""
-    assert len(assignment) == p.nslots
+    if len(assignment) != p.nslots:
+        raise ValueError(f"{len(assignment)} vectors for {p.nslots} slots")
     out = {}
     for word, coeff in p.terms.items():
         cur = None
@@ -136,7 +183,10 @@ def evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs):
     sign of moving t past the larger members."""
     m = shape.rank
     kept = shape.kept_gaps
-    assert len(alt_vecs) == m and len(conn_vecs) == len(kept)
+    if len(alt_vecs) != m or len(conn_vecs) != len(kept):
+        raise ValueError(
+            f"rank {m} with {len(kept)} connectors got {len(alt_vecs)} and {len(conn_vecs)} vectors"
+        )
     states = {1 << t: dict(alt_vecs[t]) for t in range(m)}
     conn_at = {g: conn_vecs[r] for r, g in enumerate(kept)}
     for g in range(m - 1):
@@ -155,11 +205,16 @@ def evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs):
     return states.get((1 << m) - 1, {})
 
 
-def _extend_alternating(A, joined, alt_vecs, m):
+def _extend_alternating(A, joined, alt_vecs, m, alt_left=None):
+    """Append each missing alternating index to every state. alt_left, when
+    given, holds each alternating vector's left support {i : e_i x != 0}; a
+    state whose support misses it has a zero product and is skipped."""
     new = {}
     for mask, v in joined.items():
         for t in range(m):
             if mask >> t & 1:
+                continue
+            if alt_left is not None and alt_left[t].isdisjoint(v):
                 continue
             w = sparse_mul(A, v, alt_vecs[t])
             if not w:

@@ -1,7 +1,12 @@
 """Command line interface: subcommands, CSV contract, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import stargraded as sg
@@ -137,3 +142,39 @@ def test_cap_evals_flag_reaches_the_engine():
 def test_unknown_usage_exits_one():
     assert run("threshold", "--spec", "m_hl_transpose:1,1", "--kind", "q+").exit_code == 1
     assert run("no-such-command").exit_code == 1
+
+
+BAD_INPUTS = [
+    ("identity", "--spec", "m_hl_transpose:1,1", "--rank", "0", "--kind", "any"),
+    ("identity", "--spec", "m_hl_transpose:1,1", "--rank", "3", "--kind", "y+", "--deleted", "5"),
+    ("codim", "--spec", "m_hl_transpose:1,1", "--n", "0"),
+    ("codim", "--spec", "m_hl_transpose:1,1", "--n", "0", "--table"),
+]
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS)
+def test_bad_ranks_and_degrees_exit_one_with_a_message(args):
+    res = CliRunner().invoke(main, list(args))
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ") and len(res.output.strip()) > len("error:")
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_bad_input_messages_do_not_depend_on_asserts(optimize):
+    src = str(Path(sg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
+    for args in BAD_INPUTS[:3]:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "stargraded.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.strip()) > len("error:")
+        assert "Traceback" not in proc.stderr
+
+
+def test_high_rank_identity_is_answered_without_building_terms():
+    # 12! = 479,001,600 terms, but the rank exceeds the algebra's dimension
+    res = run("identity", "--spec", "m_hl_transpose:1,1", "--rank", "12", "--kind", "any")
+    assert res.exit_code == 0 and ",yes," in res.output
