@@ -3,8 +3,9 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
+from operator import itemgetter
 
 from .core import (
     hom_components,
@@ -16,7 +17,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
-from .linalg import RankTracker, RankTrackerModP, _as_num, coordinate_span
+from .linalg import RankTracker, RankTrackerModP, _as_num, coordinate_span, is_prime
 from .polynomials import (
     ANY,
     KINDS,
@@ -34,13 +35,17 @@ class RunConfig:
     """Caps and reproducibility knobs shared by the checking routines.
 
     cap_n bounds codimension degrees; cap_evals bounds nominal enumeration
-    sizes before a computation is refused; mod_p turns on modular screening of
-    exact ranks; seed drives every randomized fallback."""
+    sizes before a computation is refused; mod_p, a prime, turns on modular
+    screening of exact ranks; seed drives every randomized fallback."""
 
     cap_n: int = 6
     cap_evals: int = 10**8
     mod_p: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mod_p is not None and (type(self.mod_p) is not int or not is_prime(self.mod_p)):
+            raise ValueError(f"the screening modulus must be a prime, got {self.mod_p!r}")
 
 
 DEFAULT_CONFIG = RunConfig()
@@ -472,9 +477,79 @@ def _mod_frac(x, p):
     return f.numerator * pow(f.denominator, -1, p) % p
 
 
+def _slot_groups(domains):
+    """Slots grouped by equal domain, in order of first appearance: (domain, slots)."""
+    groups = []
+    for s, d in enumerate(domains):
+        for dom, slots in groups:
+            if dom == d:
+                slots.append(s)
+                break
+        else:
+            groups.append((d, [s]))
+    return groups
+
+
+def _rearrangements(rep):
+    """One position map per distinct rearrangement of the sorted tuple rep:
+    pi with rep[pi[i]] as the i-th entry, the identity first."""
+    maps = {}
+    for u, pi in zip(permutations(rep), permutations(range(len(rep)))):
+        maps.setdefault(u, pi)
+    return list(maps.values())
+
+
+def _orbit_columns(A, domains):
+    """Per assignment of one domain vector to each slot, the columns of its word
+    values: one column per coordinate, one entry per word in lex order.
+
+    Slots with equal domains form groups. Only orbit representatives, whose
+    indices are non-decreasing within each group, get their words computed;
+    each other assignment b = a o tau of a's orbit takes a's columns with
+    entries reindexed by sigma -> index(tau o sigma)."""
+    n = len(domains)
+    groups = _slot_groups(domains)
+    index = {p: i for i, p in enumerate(permutations(range(n)))}
+    getters = {}  # tau -> itemgetter of the lex-index map sigma -> index(tau o sigma)
+    identity = tuple(range(n))
+    for rep in product(*(combinations_with_replacement(range(len(d)), len(slots)) for d, slots in groups)):
+        a = [0] * n
+        for (_, slots), idx in zip(groups, rep):
+            for s, t in zip(slots, idx):
+                a[s] = t
+        words = _word_values(A, [domains[s][a[s]] for s in range(n)])
+        support = sorted({r for w in words for r in w})
+        if not support:
+            continue
+        cols = [tuple(_as_num(w.get(r, 0)) for w in words) for r in support]
+        for pis in product(*(_rearrangements(idx) for idx in rep)):
+            tau = list(identity)
+            for (_, slots), pi in zip(groups, pis):
+                for s, j in zip(slots, pi):
+                    tau[s] = slots[j]
+            tau = tuple(tau)
+            if tau == identity:
+                yield cols
+                continue
+            get = getters.get(tau)
+            if get is None:
+                # permutations(tau) lists tau o sigma for sigma in lex order
+                get = getters[tau] = itemgetter(*map(index.__getitem__, permutations(tau)))
+            yield [get(col) for col in cols]
+
+
 def _assignment_rank(A, domains, config, primes):
     """Rank of the matrix whose rows are the n! products of one slot vector each
-    in every order, with one column per (assignment, coordinate) pair."""
+    in every order, with one column per (assignment, coordinate) pair.
+
+    Words are computed once per orbit of assignments under the permutations tau
+    of slots with equal domains. Such a tau permutes the words of an
+    assignment a: (a o tau)(s) = a(tau(s)), so w_sigma(a o tau) =
+    w_{tau o sigma}(a), and the columns of a o tau are those of a with their
+    entries reindexed (_orbit_columns). Every assignment is a o tau for exactly
+    one representative a, so the column set is that of the plain enumeration
+    of all assignments; only the order differs. Repeated columns are dropped
+    by exact tuple."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -485,16 +560,12 @@ def _assignment_rank(A, domains, config, primes):
     tracker = RankTracker()
     ptrackers = [RankTrackerModP(p) for p in primes]
     seen = set()
-    for combo in product(*(range(len(d)) for d in domains)):
-        vecs = [domains[s][combo[s]] for s in range(n)]
-        words = _word_values(A, vecs)
-        support = sorted({r for w in words for r in w})
-        for r in support:
-            col = tuple(_as_num(w.get(r, 0)) for w in words)
+    for cols in _orbit_columns(A, domains):
+        for col in cols:
             if col in seen:
                 continue
             seen.add(col)
-            tracker.add(list(col))
+            tracker.add(col)
             for pt, p in zip(ptrackers, primes):
                 pt.add([_mod_frac(c, p) for c in col])
         if tracker.rank == nfact and all(pt.rank == nfact for pt in ptrackers):

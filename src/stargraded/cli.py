@@ -72,6 +72,7 @@ def guarded(f):
 @click.option("--seed", default=0, show_default=True, help="seed for randomized fallbacks")
 @click.option("--out", default=None, type=click.Path(), help="write the report here instead of stdout")
 @click.pass_context
+@guarded
 def main(ctx, cap_n, cap_evals, mod_p, seed, out):
     """Exact constructions and identity checks for superalgebras with involution."""
     ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, mod_p=mod_p, seed=seed), out)

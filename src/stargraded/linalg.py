@@ -1,6 +1,8 @@
 """Exact linear algebra over the rationals: RREF, rank, nullspace, canonical subspaces."""
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _as_num(x):
@@ -194,38 +196,89 @@ class Subspace:
 
 
 class RankTracker:
-    """Incremental exact rank of a growing set of vectors (kept in reduced form)."""
+    """Incremental exact rank of a growing set of rational vectors, on integer rows.
 
-    __slots__ = ("rows", "pivots")
+    A vector is scaled by the lcm of its denominators and reduced against the
+    stored rows in pivot order by fraction-free steps w <- p*w - f*row, with
+    the pivot p and the entry f first divided by their gcd. Rows are kept
+    primitive instead of dividing by the previous pivot as Bareiss (1968)
+    does. The vector being reduced is held dense. Stored rows are sparse,
+    primitive (gcd 1, positive pivot) and in echelon form: no row has an entry
+    left of its pivot, so a reduced vector that is not zero starts at a new
+    pivot. Rank needs no back-substitution. No floats, no modular step."""
+
+    __slots__ = ("pivots", "rows")
 
     def __init__(self):
-        self.rows = []
-        self.pivots = []
+        self.pivots = []  # ascending
+        self.rows = {}  # pivot -> (columns, values), columns ascending
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def add(self, vec):
-        """Insert a vector; returns True if it increased the rank."""
-        w = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            if w[c] != 0:
-                f = w[c]
-                w = [_as_num(a - f * b) for a, b in zip(w, row)]
-        c = next((j for j, x in enumerate(w) if x != 0), None)
-        if c is None:
+        """Insert a vector of ints and Fractions; returns True if it increased the rank."""
+        den = lcm(*{x.denominator for x in vec})
+        if den == 1:
+            w = [x.numerator for x in vec]
+        else:
+            w = [x.numerator * (den // x.denominator) for x in vec]
+        rows = self.rows
+        for c in self.pivots:
+            f = w[c]
+            if not f:
+                continue
+            cols, row = rows[c]
+            p = row[0]
+            g = gcd(p, f)
+            if g != p:
+                p //= g
+                w = [p * x for x in w]
+            f //= g
+            for j, x in zip(cols, row):
+                w[j] -= f * x
+        cols = [j for j, x in enumerate(w) if x]
+        if not cols:
             return False
-        pv = w[c]
-        if pv != 1:
-            w = [_as_num(Fraction(x, 1) / pv) for x in w]
-        for i, row in enumerate(self.rows):
-            if row[c] != 0:
-                f = row[c]
-                self.rows[i] = [_as_num(a - f * b) for a, b in zip(row, w)]
-        self.rows.append(w)
-        self.pivots.append(c)
+        g = gcd(*(w[j] for j in cols))
+        if w[cols[0]] < 0:
+            g = -g
+        insort(self.pivots, cols[0])
+        rows[cols[0]] = (cols, [w[j] // g for j in cols])
         return True
+
+
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, 2015); larger moduli are refused.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic primality of an integer n < PRIME_TEST_BOUND."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is too large for the deterministic prime test (bound {PRIME_TEST_BOUND})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RankTrackerModP:

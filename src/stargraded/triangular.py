@@ -33,12 +33,17 @@ class UtSpec:
     shifts: tuple
 
     def __post_init__(self):
-        assert len(self.components) >= 1
-        assert len(self.shifts) == len(self.components)
+        if not self.components:
+            raise ValueError("a block triangular algebra needs at least one component")
+        if len(self.shifts) != len(self.components):
+            raise ValueError(
+                f"{len(self.components)} components but {len(self.shifts)} shifts"
+            )
         for tag in self.components:
             validate_tag(tag)
         for g in self.shifts:
-            assert g in (0, 1)
+            if g not in (0, 1):
+                raise ValueError(f"a grading shift is 0 or 1, got {g!r}")
 
 
 @dataclass(frozen=True)

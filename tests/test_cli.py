@@ -150,9 +150,17 @@ BAD_INPUTS = [
     ("codim", "--spec", "m_hl_transpose:1,1", "--n", "0"),
     ("codim", "--spec", "m_hl_transpose:1,1", "--n", "0", "--table"),
 ]
+BAD_OPTIONS = [
+    ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "0,1"),
+    ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "2"),
+    ("--mod-p", "4", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
+    ("--mod-p", "0", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
+    ("--mod-p", "-5", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
+    ("--mod-p", str(10**30), "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
+]
 
 
-@pytest.mark.parametrize("args", BAD_INPUTS)
+@pytest.mark.parametrize("args", BAD_INPUTS + BAD_OPTIONS)
 def test_bad_ranks_and_degrees_exit_one_with_a_message(args):
     res = CliRunner().invoke(main, list(args))
     assert res.exit_code == 1
@@ -164,7 +172,7 @@ def test_bad_input_messages_do_not_depend_on_asserts(optimize):
     src = str(Path(sg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-O"] if optimize else []
-    for args in BAD_INPUTS[:3]:
+    for args in BAD_INPUTS[:3] + [BAD_OPTIONS[0], BAD_OPTIONS[2]]:
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "stargraded.cli", *args],
             capture_output=True, text=True, env=env, timeout=120,
@@ -172,6 +180,12 @@ def test_bad_input_messages_do_not_depend_on_asserts(optimize):
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and len(proc.stderr.strip()) > len("error:")
         assert "Traceback" not in proc.stderr
+
+
+def test_prime_modulus_screens_the_rank():
+    res = run("--mod-p", "2147483647", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
+    assert res.exit_code == 0
+    assert res.output == run("codim", "--spec", "m_hl_transpose:1,1", "--n", "3").output
 
 
 def test_high_rank_identity_is_answered_without_building_terms():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,10 @@ from stargraded.linalg import (
     RankTracker,
     RankTrackerModP,
     Subspace,
+    PRIME_TEST_BOUND,
     coordinate_span,
     identity_matrix,
+    is_prime,
     mat_mul,
     mat_vec,
     nullspace,
@@ -95,6 +98,64 @@ def test_rank_tracker_matches_batch_rank(rows):
     tr = RankTracker()
     grew = sum(1 for r in rows if tr.add(r))
     assert tr.rank == rank(rows) == grew
+
+
+fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6),
+    st.sampled_from([1, 1, 2, 3, 5, 7]),
+)
+
+
+@st.composite
+def rational_low_rank(draw):
+    """B @ C with columns rescaled by fractions: rank at most k, mixed denominators."""
+    n, m, k = draw(st.integers(1, 7)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    b = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    c = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    scale = draw(st.lists(fractions.filter(bool), min_size=m, max_size=m))
+    return [[scale[j] * sum(b[i][t] * c[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+@given(st.one_of(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.lists(fractions, min_size=m, max_size=m), min_size=1, max_size=7)
+    ),
+    rational_low_rank(),
+))
+@settings(max_examples=150, deadline=None)
+def test_rank_tracker_with_fractions_matches_rref(rows):
+    tr = RankTracker()
+    grew = sum(1 for r in rows if tr.add(r))
+    assert tr.rank == len(rref(rows)[0]) == grew
+
+
+def test_rank_tracker_rows_are_primitive_echelon():
+    tr = RankTracker()
+    for r in ([0, Fraction(2, 3), Fraction(4, 3)], [Fraction(-1, 2), 1, 0], [0, 3, 6], [1, 1, 1]):
+        tr.add(r)
+    assert tr.rank == 3 and tr.pivots == [0, 1, 2]
+    for c, (cols, vals) in tr.rows.items():
+        assert cols[0] == c and vals[0] > 0 and all(isinstance(v, int) for v in vals)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division(n) for n in range(-3, 5000))
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for p in (2147483647, 2**61 - 1, 10**24 + 7):
+        assert is_prime(p)
+        assert not is_prime(p * 3)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_BOUND)
 
 
 @given(matrices(4))
