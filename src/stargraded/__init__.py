@@ -85,7 +85,6 @@ from .polynomials import (
     CapelliShape,
     MultilinearPoly,
     barred_capelli_set,
-    capelli_graded,
     capelli_member,
     capelli_ordinary,
     evaluate,

@@ -473,7 +473,7 @@ def _word_values(A, vecs):
 def _mod_frac(x, p):
     f = Fraction(x)
     if f.denominator % p == 0:
-        raise InternalInconsistencyError(f"prime {p} divides a denominator")
+        raise ValueError(f"prime {p} divides a denominator of the word values; choose another prime")
     return f.numerator * pow(f.denominator, -1, p) % p
 
 
@@ -573,7 +573,8 @@ def _assignment_rank(A, domains, config, primes):
     for pt, p in zip(ptrackers, primes):
         if pt.rank != tracker.rank:
             raise InternalInconsistencyError(
-                f"rank {tracker.rank} over the rationals but {pt.rank} mod {p}"
+                f"rank {tracker.rank} over the rationals but {pt.rank} mod {p}: either {p} is an "
+                "unlucky prime or the exact rank is wrong, and no certified rank tells them apart yet"
             )
     return tracker.rank
 

@@ -20,12 +20,11 @@ from .analysis import (
     is_graded_identity,
     is_reduced,
 )
-from .checks import CheckRow, parse_algebra_spec, parse_ut_spec, run_suite, ut_subject
-from .core import _frac_str, hom_dims, load_algebra, save_algebra, to_interchange, validate
+from .checks import parse_algebra_spec, parse_family_token, parse_ut_spec, row, run_suite
+from .core import _frac_str, hom_dims, load_algebra, require_valid, to_interchange, validate
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
 from .polynomials import ANY, KINDS, capelli_member
-from .checks import parse_family_token
 from .triangular import ut_star
 
 CSV_FIELDS = ("check", "subject", "kind", "n", "expected", "actual", "status")
@@ -34,17 +33,29 @@ CSV_FIELDS = ("check", "subject", "kind", "n", "expected", "actual", "status")
 click.UsageError.exit_code = 1
 
 
-def emit_rows(rows, out):
+def csv_text(rows):
+    """The CSV report of check rows, header first."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_FIELDS)
     for r in rows:
         w.writerow([r.check, r.subject, r.kind, r.n, r.expected, r.actual, r.status])
-    text = buf.getvalue()
+    return buf.getvalue()
+
+
+def _emit(text, out):
     if out:
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
+
+
+def emit_rows(rows, out):
+    _emit(csv_text(rows), out)
+
+
+def emit_algebra(A, out):
+    _emit(json.dumps(to_interchange(A), indent=1) + "\n", out)
 
 
 def guarded(f):
@@ -78,6 +89,12 @@ def main(ctx, cap_n, cap_evals, mod_p, seed, out):
     ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, mod_p=mod_p, seed=seed), out)
 
 
+def subject_options(f):
+    """The --spec/--input pair that names the algebra a command reads."""
+    f = click.option("--input", "input_path", default=None, type=click.Path(exists=True))(f)
+    return click.option("--spec", default=None, help="algebra spec string")(f)
+
+
 def _subject(spec, input_path):
     if (spec is None) == (input_path is None):
         raise ValueError("provide exactly one of --spec or --input")
@@ -97,15 +114,7 @@ def _subject(spec, input_path):
 def build(obj, spec):
     """Construct a named algebra or direct sum and emit interchange JSON."""
     config, out = obj
-    A = parse_algebra_spec(spec)
-    problems = validate(A)
-    if problems:
-        raise InternalInconsistencyError(problems[0])
-    doc = json.dumps(to_interchange(A), indent=1) + "\n"
-    if out:
-        Path(out).write_text(doc)
-    else:
-        click.echo(doc, nl=False)
+    emit_algebra(require_valid(parse_algebra_spec(spec)), out)
 
 
 @main.command()
@@ -123,22 +132,15 @@ def ut(obj, components, shifts, show_layout):
         lay = A.layout
         click.echo(f"sizes={lay.sizes} bounds={lay.bounds} blocks={lay.blocks}", err=True)
         click.echo(f"degrees={lay.degrees}", err=True)
-    doc = json.dumps(to_interchange(A), indent=1) + "\n"
-    if out:
-        Path(out).write_text(doc)
-    else:
-        click.echo(doc, nl=False)
+    emit_algebra(A, out)
 
 
 @main.command()
-@click.option("--spec", default=None, help="algebra spec string")
-@click.option("--input", "input_path", default=None, type=click.Path(exists=True))
+@subject_options
 @click.pass_obj
 @guarded
 def dims(obj, spec, input_path):
     """Report the four homogeneous component dimensions."""
-    from .checks import row
-
     config, out = obj
     A, subject = _subject(spec, input_path)
     got = hom_dims(A)
@@ -158,8 +160,7 @@ def dims(obj, spec, input_path):
 
 
 @main.command()
-@click.option("--spec", default=None)
-@click.option("--input", "input_path", default=None, type=click.Path(exists=True))
+@subject_options
 @click.option("--kind", "kind", required=True, type=click.Choice(list(KINDS) + [ANY]))
 @click.option("--cap", default=None, type=int, help="largest rank to try")
 @click.option("--unbarred", is_flag=True, help="only the full member, no deletion patterns")
@@ -168,8 +169,6 @@ def dims(obj, spec, input_path):
 @guarded
 def threshold(obj, spec, input_path, kind, cap, unbarred, witness_out):
     """Smallest rank at which the (barred) alternating family becomes identities."""
-    from .checks import row
-
     config, out = obj
     A, subject = _subject(spec, input_path)
     rep = capelli_threshold(A, kind, cap, config, barred=not unbarred)
@@ -193,8 +192,7 @@ def _witness_json(w):
 
 
 @main.command()
-@click.option("--spec", default=None)
-@click.option("--input", "input_path", default=None, type=click.Path(exists=True))
+@subject_options
 @click.option("--rank", required=True, type=int)
 @click.option("--kind", required=True, type=click.Choice(list(KINDS) + [ANY]))
 @click.option("--deleted", default="", help="comma list of deleted connector gaps")
@@ -203,8 +201,6 @@ def _witness_json(w):
 @guarded
 def identity(obj, spec, input_path, rank, kind, deleted, witness_out):
     """Decide whether one barred family member is a graded identity."""
-    from .checks import row
-
     config, out = obj
     A, subject = _subject(spec, input_path)
     dels = frozenset(int(x) for x in deleted.split(",") if x.strip() != "")
@@ -227,8 +223,7 @@ def identity(obj, spec, input_path, rank, kind, deleted, witness_out):
 
 
 @main.command()
-@click.option("--spec", default=None)
-@click.option("--input", "input_path", default=None, type=click.Path(exists=True))
+@subject_options
 @click.option("--n", "degree", required=True, type=int)
 @click.option("--ordinary", is_flag=True, help="untyped codimension instead of the graded one")
 @click.option("--brute", is_flag=True, help="cross-check the graded value over all kind vectors")
@@ -237,8 +232,6 @@ def identity(obj, spec, input_path, rank, kind, deleted, witness_out):
 @guarded
 def codim(obj, spec, input_path, degree, ordinary, brute, table_):
     """Codimension of the multilinear identities in the given degree."""
-    from .checks import row
-
     config, out = obj
     A, subject = _subject(spec, input_path)
     rows = []
@@ -263,14 +256,11 @@ def codim(obj, spec, input_path, degree, ordinary, brute, table_):
 
 
 @main.command()
-@click.option("--spec", default=None)
-@click.option("--input", "input_path", default=None, type=click.Path(exists=True))
+@subject_options
 @click.pass_obj
 @guarded
 def exponent(obj, spec, input_path):
     """Admissible exponent from the Wedderburn block data, and reducedness."""
-    from .checks import row
-
     config, out = obj
     A, subject = _subject(spec, input_path)
     rows = [

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CenterNotSplitError, InternalInconsistencyError
-from .linalg import Subspace, _as_num, mat_mul, mat_vec, nullspace, rank, rref, solve
+from .linalg import Subspace, _as_num, mat_mul, mat_vec, nullspace, rank, solve
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,14 @@ def validate(A):
     return report
 
 
+def require_valid(A):
+    """A itself; a violation of validate() is an InternalInconsistencyError."""
+    problems = validate(A)
+    if problems:
+        raise InternalInconsistencyError("; ".join(problems[:3]))
+    return A
+
+
 def hom_components(A):
     """Split A into even/odd symmetric/skew parts via u -> (u ± star(u))/2."""
     if A._hom is not None:
@@ -249,10 +257,6 @@ def subspace_product(A, U, V):
             if w:
                 vecs.append(to_dense(w, A.dim))
     return Subspace(A.dim, vecs)
-
-
-def full_subspace(A):
-    return Subspace(A.dim, [[1 if i == k else 0 for i in range(A.dim)] for k in range(A.dim)])
 
 
 def _left_trace_weights(A):
@@ -308,12 +312,18 @@ def _verify_radical(A, J):
                 raise InternalInconsistencyError("radical not a left ideal")
             if not J.contains(to_dense(sparse_mul(A, sv, {i: 1}), A.dim)):
                 raise InternalInconsistencyError("radical not a right ideal")
+    if not is_nilpotent(A, J):
+        raise InternalInconsistencyError("radical not nilpotent")
+
+
+def is_nilpotent(A, J):
+    """True when some power of the subspace J of A is zero."""
     power = J
     for _ in range(A.dim + 1):
         if power.is_zero():
-            return
+            return True
         power = subspace_product(A, power, J)
-    raise InternalInconsistencyError("radical not nilpotent")
+    return False
 
 
 def block_unit(A, indices):
@@ -346,6 +356,20 @@ def semisimple_unit(A):
     return {k: c for k, c in e.items() if c != 0}
 
 
+def _kernel(dim, basis, images):
+    """The Subspace of F^dim of the combinations sum c_a basis[a] whose images
+    sum c_a images[a] vanish."""
+    vecs = []
+    for coeffs in nullspace([list(r) for r in zip(*images)], len(images)):
+        w = [0] * dim
+        for a, c in enumerate(coeffs):
+            if c:
+                for r in range(dim):
+                    w[r] = _as_num(w[r] + c * basis[a][r])
+        vecs.append(w)
+    return Subspace(dim, vecs)
+
+
 def peirce_decompose(A):
     """Split the radical by the left/right action of the semisimple unit."""
     e = semisimple_unit(A)
@@ -353,7 +377,6 @@ def peirce_decompose(A):
     spaces = {}
     for p in (0, 1):
         for q in (0, 1):
-            rows = []
             cols = []
             for v in J.basis:
                 sv = to_sparse(v)
@@ -362,16 +385,7 @@ def peirce_decompose(A):
                 col = [_as_num(lv.get(r, 0) - p * sv.get(r, 0)) for r in range(A.dim)]
                 col += [_as_num(rv.get(r, 0) - q * sv.get(r, 0)) for r in range(A.dim)]
                 cols.append(col)
-            m = [[cols[a][r] for a in range(len(cols))] for r in range(2 * A.dim)]
-            vecs = []
-            for coeffs in nullspace(m, len(cols)):
-                w = [0] * A.dim
-                for a, c in enumerate(coeffs):
-                    if c:
-                        for r in range(A.dim):
-                            w[r] = _as_num(w[r] + c * J.basis[a][r])
-                vecs.append(w)
-            spaces[(p, q)] = Subspace(A.dim, vecs)
+            spaces[(p, q)] = _kernel(A.dim, J.basis, cols)
     dec = PeirceDecomposition(spaces[(0, 0)], spaces[(0, 1)], spaces[(1, 0)], spaces[(1, 1)])
     if dec.j00.dim + dec.j01.dim + dec.j10.dim + dec.j11.dim != J.dim:
         raise InternalInconsistencyError("Peirce pieces do not sum to the radical")
@@ -394,16 +408,7 @@ def radical_centralizer(A):
             ax = sparse_mul(A, {t: 1}, sv)
             col += [_as_num(xa.get(r, 0) - ax.get(r, 0)) for r in range(A.dim)]
         cols.append(col)
-    m = [[cols[a][r] for a in range(len(cols))] for r in range(len(cols[0]))]
-    vecs = []
-    for coeffs in nullspace(m, len(cols)):
-        w = [0] * A.dim
-        for a, c in enumerate(coeffs):
-            if c:
-                for r in range(A.dim):
-                    w[r] = _as_num(w[r] + c * j11.basis[a][r])
-        vecs.append(w)
-    return Subspace(A.dim, vecs)
+    return _kernel(A.dim, j11.basis, cols)
 
 
 def _min_poly(M):
@@ -508,17 +513,9 @@ def central_primitive_idempotents(A):
                 for v in S.basis:
                     w = to_dense(sparse_mul(A, sz, to_sparse(list(v))), d)
                     shifted.append([_as_num(a - r0 * b) for a, b in zip(w, v)])
-                m = [[shifted[a][r] for a in range(S.dim)] for r in range(d)]
-                eig = []
-                for coeffs in nullspace(m, S.dim):
-                    w = [0] * d
-                    for a, c in enumerate(coeffs):
-                        if c:
-                            for r in range(d):
-                                w[r] = _as_num(w[r] + c * S.basis[a][r])
-                    eig.append(w)
-                if eig:
-                    refined.append(Subspace(d, eig))
+                eig = _kernel(d, S.basis, shifted)
+                if not eig.is_zero():
+                    refined.append(eig)
         subspaces = refined
     idempotents = []
     for S in subspaces:

@@ -5,31 +5,34 @@ from .core import (
     WedderburnBlock,
     WedderburnData,
     block_unit,
+    is_nilpotent,
     is_star_graded_simple,
-    subspace_product,
-    validate,
+    require_valid,
 )
-from .linalg import Subspace
+from .linalg import coordinate_span
+
+
+def _require_nilpotent(N):
+    """Reject a factor that is not trivially graded and nilpotent."""
+    if any(N.grading):
+        raise ValueError("nilpotent factor must be trivially graded")
+    if not is_nilpotent(N, coordinate_span(N.dim, range(N.dim))):
+        raise ValueError("nilpotent factor is not nilpotent")
 
 
 def nilpotent_algebra(dim, labels, structure, involution):
     """A trivially graded nilpotent algebra with involution, checked on construction."""
     N = StarSuperAlgebra(dim, labels, structure, [0] * dim, involution,
                          wedderburn=WedderburnData((), tuple(range(dim))))
-    problems = validate(N)
-    assert not problems, problems[:3]
-    full = Subspace(dim, [[1 if i == k else 0 for i in range(dim)] for k in range(dim)])
-    power = full
-    for _ in range(dim + 1):
-        if power.is_zero():
-            return N
-        power = subspace_product(N, power, full)
-    raise ValueError("structure constants are not nilpotent")
+    require_valid(N)
+    _require_nilpotent(N)
+    return N
 
 
 def commutative_nilpotent(k=1):
     """k commuting square-zero self-adjoint generators, all products zero."""
-    assert k >= 1
+    if type(k) is not int or k < 1:
+        raise ValueError(f"commutative_nilpotent needs an integer k >= 1, got {k!r}")
     labels = [f"n{i + 1}" for i in range(k)]
     return nilpotent_algebra(k, labels, [], [[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
@@ -48,7 +51,8 @@ def noncommutative_nilpotent():
 
 
 def _require_simple_unital(A):
-    assert is_star_graded_simple(A), "extension base must be simple"
+    if not is_star_graded_simple(A):
+        raise ValueError("extension base must be simple")
     return block_unit(A, range(A.dim))
 
 
@@ -80,10 +84,7 @@ def one_sided_radical_extension(A):
     wed = WedderburnData(
         (WedderburnBlock(tuple(range(d)), family, params),), tuple(range(d, 3 * d))
     )
-    R = StarSuperAlgebra(3 * d, labels, structure, grading, involution, wedderburn=wed)
-    problems = validate(R)
-    assert not problems, problems[:3]
-    return R
+    return require_valid(StarSuperAlgebra(3 * d, labels, structure, grading, involution, wedderburn=wed))
 
 
 def tensor_nilpotent_extension(A, N):
@@ -92,7 +93,7 @@ def tensor_nilpotent_extension(A, N):
     The A x unit corner is the semisimple part; everything tensored into N is
     radical, commutes with that corner, and is stable both ways."""
     _require_simple_unital(A)
-    assert all(g == 0 for g in N.grading), "nilpotent factor must be trivially graded"
+    _require_nilpotent(N)
     d, dn = A.dim, N.dim
     dim = d * (dn + 1)
 
@@ -137,7 +138,4 @@ def tensor_nilpotent_extension(A, N):
     wed = WedderburnData(
         (WedderburnBlock(tuple(range(d)), family, params),), tuple(range(d, dim))
     )
-    R = StarSuperAlgebra(dim, labels, structure, grading, involution, wedderburn=wed)
-    problems = validate(R)
-    assert not problems, problems[:3]
-    return R
+    return require_valid(StarSuperAlgebra(dim, labels, structure, grading, involution, wedderburn=wed))

@@ -67,53 +67,41 @@ def _unit_labels(n, prefix=""):
     return [f"{prefix}e{i + 1},{j + 1}" for i in range(n) for j in range(n)]
 
 
-def _matrix_structure(n, offset=0):
-    # e_ij . e_kl = delta_jk e_il
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                out.append(
-                    (offset + _unit_idx(n, i, j), offset + _unit_idx(n, j, l), offset + _unit_idx(n, i, l), 1)
-                )
-    return out
+def _matrix_structure(n):
+    # e_ij . e_jl = e_il
+    return [
+        (_unit_idx(n, i, j), _unit_idx(n, j, l), _unit_idx(n, i, l), 1)
+        for i in range(n)
+        for j in range(n)
+        for l in range(n)
+    ]
 
 
-def _transpose_images(n):
-    # image of e_ij is e_ji
-    return {(i, j): [((j, i), 1)] for i in range(n) for j in range(n)}
-
-
-def _symplectic_images(n):
-    # star(X) = Omega X^t Omega^{-1} with Omega = [[0, I],[-I, 0]] in half-blocks
-    assert n % 2 == 0
+def _star_images(n, diamond):
+    """Unit index -> (unit index, sign) of its image under the transpose
+    (diamond "t") or the symplectic (diamond "s") involution of M_n."""
+    if diamond == "t":
+        return {_unit_idx(n, i, j): (_unit_idx(n, j, i), 1) for i in range(n) for j in range(n)}
+    # star(X) = Omega X^t Omega^{-1} with Omega = [[0, I],[-I, 0]] in half-blocks:
+    # swap the half-blocks, transpose, and negate the off-diagonal half-blocks
     h = n // 2
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i <= h and j <= h:
-                img, sign = (j + h, i + h), 1
-            elif i <= h < j:
-                img, sign = (j - h, i + h), -1
-            elif j <= h < i:
-                img, sign = (j + h, i - h), -1
-            else:
-                img, sign = (j - h, i - h), 1
-            out[(i - 1, j - 1)] = [((img[0] - 1, img[1] - 1), sign)]
-    return out
+    return {
+        _unit_idx(n, i, j): (_unit_idx(n, (j + h) % n, (i + h) % n), (-1) ** ((i < h) != (j < h)))
+        for i in range(n)
+        for j in range(n)
+    }
 
 
-def _diamond_images(n, diamond):
-    return _transpose_images(n) if diamond == "t" else _symplectic_images(n)
-
-
-def _involution_from_unit_images(dim, image_map):
-    # image_map: basis index -> list of (basis index, coeff)
+def _involution(dim, images):
+    # images: basis index -> (basis index, coeff) of its image
     inv = [[0] * dim for _ in range(dim)]
-    for k, imgs in image_map.items():
-        for r, c in imgs:
-            inv[r][k] = c
+    for k, (r, c) in images.items():
+        inv[r][k] = c
     return inv
+
+
+def _one_block(dim, tag):
+    return WedderburnData((WedderburnBlock(tuple(range(dim)), tag.name, tag.params),), ())
 
 
 def _block_grading(n, h):
@@ -122,54 +110,50 @@ def _block_grading(n, h):
     return [(alpha[i] + alpha[j]) % 2 for i in range(n) for j in range(n)]
 
 
+def _matrix_family(tag, n, h, diamond):
+    """M_n with block grading (h, n - h) and the involution the diamond names."""
+    return StarSuperAlgebra(
+        n * n,
+        _unit_labels(n),
+        _matrix_structure(n),
+        _block_grading(n, h),
+        _involution(n * n, _star_images(n, diamond)),
+        wedderburn=_one_block(n * n, tag),
+    )
+
+
 def m_hl_transpose(h, l):
     """Full matrix algebra with block grading (h, l) and transpose involution."""
-    tag = FamilyTag(MHL_T, (h, l))
-    n = h + l
-    images = _transpose_images(n)
-    inv = _involution_from_unit_images(
-        n * n, {_unit_idx(n, i, j): [(_unit_idx(n, a, b), c)] for (i, j), [((a, b), c)] in images.items()}
-    )
-    wed = WedderburnData((WedderburnBlock(tuple(range(n * n)), MHL_T, (h, l)),), ())
-    return StarSuperAlgebra(
-        n * n, _unit_labels(n), _matrix_structure(n), _block_grading(n, h), inv, wedderburn=wed
-    )
+    return _matrix_family(FamilyTag(MHL_T, (h, l)), h + l, h, "t")
 
 
 def m_hh_symplectic(h):
     """Full matrix algebra of even size with half-half grading and symplectic involution."""
-    tag = FamilyTag(MHH_S, (h,))
-    n = 2 * h
-    images = _symplectic_images(n)
-    inv = _involution_from_unit_images(
-        n * n, {_unit_idx(n, i, j): [(_unit_idx(n, a, b), c)] for (i, j), [((a, b), c)] in images.items()}
-    )
-    wed = WedderburnData((WedderburnBlock(tuple(range(n * n)), MHH_S, (h,)),), ())
+    return _matrix_family(FamilyTag(MHH_S, (h,)), 2 * h, h, "s")
+
+
+def exchange(B, tag):
+    """B plus its opposite B^op, whose product is b.c = cb, with the exchange
+    involution (b, c) -> (c, b). Basis d + k of the result is basis k of B^op."""
+    d = B.dim
+    structure = [(i, j, k, c) for (i, j), row in B.structure.items() for k, c in row.items()]
+    structure += [(d + j, d + i, d + k, c) for i, j, k, c in structure]
+    images = {k: (d + k, 1) for k in range(d)}
+    images.update({d + k: (k, 1) for k in range(d)})
     return StarSuperAlgebra(
-        n * n, _unit_labels(n), _matrix_structure(n), _block_grading(n, h), inv, wedderburn=wed
+        2 * d,
+        list(B.labels) + ["op." + s for s in B.labels],
+        structure,
+        list(B.grading) * 2,
+        _involution(2 * d, images),
+        wedderburn=_one_block(2 * d, tag),
     )
 
 
 def m_hl_exchange(h, l):
     """Matrix algebra plus its opposite, exchange involution, block grading on both."""
     tag = FamilyTag(MHL_EXC, (h, l))
-    n = h + l
-    nn = n * n
-    structure = _matrix_structure(n)
-    # second summand multiplies in reversed order: (0,e_ij)(0,e_ki) = (0, e_ki e_ij) = (0, e_kj)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                structure.append(
-                    (nn + _unit_idx(n, i, j), nn + _unit_idx(n, k, i), nn + _unit_idx(n, k, j), 1)
-                )
-    image_map = {k: [(nn + k, 1)] for k in range(nn)}
-    image_map.update({nn + k: [(k, 1)] for k in range(nn)})
-    inv = _involution_from_unit_images(2 * nn, image_map)
-    grading = _block_grading(n, h) * 2
-    labels = _unit_labels(n) + _unit_labels(n, "op.")
-    wed = WedderburnData((WedderburnBlock(tuple(range(2 * nn)), MHL_EXC, (h, l)),), ())
-    return StarSuperAlgebra(2 * nn, labels, structure, grading, inv, wedderburn=wed)
+    return exchange(m_hl_transpose(h, l), tag)
 
 
 def mn_cmn(n, diamond, sign):
@@ -177,63 +161,31 @@ def mn_cmn(n, diamond, sign):
     involution a + cb -> a^diamond + sign * c b^diamond."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    name = MN_CMN_DAGGER if sign == "+" else MN_CMN_STAR
-    tag = FamilyTag(name, (n, diamond))
+    tag = FamilyTag(MN_CMN_DAGGER if sign == "+" else MN_CMN_STAR, (n, diamond))
     nn = n * n
     structure = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                a, b, c0 = _unit_idx(n, i, j), _unit_idx(n, j, l), _unit_idx(n, i, l)
-                structure.append((a, b, c0, 1))
-                structure.append((a, nn + b, nn + c0, 1))
-                structure.append((nn + a, b, nn + c0, 1))
-                structure.append((nn + a, nn + b, c0, 1))
+    for a, b, c0, _ in _matrix_structure(n):
+        structure += [(a, b, c0, 1), (a, nn + b, nn + c0, 1)]
+        structure += [(nn + a, b, nn + c0, 1), (nn + a, nn + b, c0, 1)]
     s = 1 if sign == "+" else -1
-    images = _diamond_images(n, diamond)
-    image_map = {}
-    for (i, j), [((a, b), c)] in images.items():
-        image_map[_unit_idx(n, i, j)] = [(_unit_idx(n, a, b), c)]
-        image_map[nn + _unit_idx(n, i, j)] = [(nn + _unit_idx(n, a, b), s * c)]
-    inv = _involution_from_unit_images(2 * nn, image_map)
-    grading = [0] * nn + [1] * nn
-    labels = _unit_labels(n) + _unit_labels(n, "c*")
-    wed = WedderburnData((WedderburnBlock(tuple(range(2 * nn)), name, (n, diamond)),), ())
-    return StarSuperAlgebra(2 * nn, labels, structure, grading, inv, wedderburn=wed)
+    images = {}
+    for k, (r, c) in _star_images(n, diamond).items():
+        images[k] = (r, c)
+        images[nn + k] = (nn + r, s * c)
+    return StarSuperAlgebra(
+        2 * nn,
+        _unit_labels(n) + _unit_labels(n, "c*"),
+        structure,
+        [0] * nn + [1] * nn,
+        _involution(2 * nn, images),
+        wedderburn=_one_block(2 * nn, tag),
+    )
 
 
 def mn_cmn_exchange(n):
     """The mn_cmn superalgebra plus its opposite with the exchange involution."""
     tag = FamilyTag(MN_CMN_EXC, (n,))
-    nn = n * n
-    half = 2 * nn
-    structure = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                a, b, c0 = _unit_idx(n, i, j), _unit_idx(n, j, l), _unit_idx(n, i, l)
-                # first summand: plain and c-twisted products
-                structure.append((a, b, c0, 1))
-                structure.append((a, nn + b, nn + c0, 1))
-                structure.append((nn + a, b, nn + c0, 1))
-                structure.append((nn + a, nn + b, c0, 1))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # (0,x)(0,y) = (0, yx) with the same c rules
-                a, b = _unit_idx(n, k, i), _unit_idx(n, i, j)
-                c0 = _unit_idx(n, k, j)
-                structure.append((half + b, half + a, half + c0, 1))
-                structure.append((half + b, half + nn + a, half + nn + c0, 1))
-                structure.append((half + nn + b, half + a, half + nn + c0, 1))
-                structure.append((half + nn + b, half + nn + a, half + c0, 1))
-    image_map = {k: [(half + k, 1)] for k in range(half)}
-    image_map.update({half + k: [(k, 1)] for k in range(half)})
-    inv = _involution_from_unit_images(2 * half, image_map)
-    grading = ([0] * nn + [1] * nn) * 2
-    labels = _unit_labels(n) + _unit_labels(n, "c*") + _unit_labels(n, "op.") + _unit_labels(n, "op.c*")
-    wed = WedderburnData((WedderburnBlock(tuple(range(2 * half)), MN_CMN_EXC, (n,)),), ())
-    return StarSuperAlgebra(2 * half, labels, structure, grading, inv, wedderburn=wed)
+    return exchange(mn_cmn(n, "t", "+"), tag)
 
 
 def build_family(tag):

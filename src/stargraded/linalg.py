@@ -45,30 +45,6 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix modulo the prime p."""
-    m = [[x % p for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
 def nullspace(rows, ncols=None):
     """Canonical basis of {x : rows @ x = 0}; ncols needed when rows is empty."""
     if rows:
@@ -109,10 +85,6 @@ def mat_mul(a, b):
     """Matrix product."""
     bt = list(zip(*b))
     return [[_as_num(sum(x * y for x, y in zip(row, col))) for col in bt] for row in a]
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def coordinate_span(ambient_dim, indices):
@@ -159,27 +131,6 @@ class Subspace:
     def add(self, other):
         assert self.ambient_dim == other.ambient_dim
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def intersect(self, other):
-        """Exact intersection via the kernel of the stacked coefficient relation."""
-        assert self.ambient_dim == other.ambient_dim
-        if self.is_zero() or other.is_zero():
-            return Subspace(self.ambient_dim)
-        cols = [list(r) for r in self.basis] + [list(r) for r in other.basis]
-        # x in both spaces: sum c_i u_i - sum d_j v_j = 0; columns are the basis vectors
-        m = [[cols[k][a] for k in range(len(cols))] for a in range(self.ambient_dim)]
-        for row in m:
-            for j in range(self.dim, len(cols)):
-                row[j] = -row[j]
-        vecs = []
-        for coeffs in nullspace(m, len(cols)):
-            v = [Fraction(0)] * self.ambient_dim
-            for k in range(self.dim):
-                if coeffs[k]:
-                    for a in range(self.ambient_dim):
-                        v[a] += coeffs[k] * self.basis[k][a]
-            vecs.append([_as_num(x) for x in v])
-        return Subspace(self.ambient_dim, vecs)
 
     def __eq__(self, other):
         return (

@@ -122,11 +122,6 @@ def capelli_member(m, kind, deleted=()):
     return MultilinearPoly(slot_kinds, None, (tuple(range(m)),), shape)
 
 
-def capelli_graded(m, kind):
-    """The full alternating polynomial of rank m in one homogeneous kind."""
-    return capelli_member(m, kind)
-
-
 def capelli_ordinary(m):
     """The rank-m alternating polynomial with untyped slots."""
     return capelli_member(m, ANY)

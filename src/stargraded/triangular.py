@@ -8,17 +8,14 @@ from .core import (
     WedderburnBlock,
     WedderburnData,
     jacobson_radical,
-    validate,
+    require_valid,
 )
 from .errors import InternalInconsistencyError
 from .families import (
     MHL_T,
     MHH_S,
     MHL_EXC,
-    MN_CMN_STAR,
-    MN_CMN_DAGGER,
     MN_CMN_EXC,
-    FamilyTag,
     build_family,
     validate_tag,
 )
@@ -65,15 +62,11 @@ def component_corner_size(tag):
     """Ambient corner size a component occupies."""
     if tag.name in (MHL_T, MHL_EXC):
         return tag.params[0] + tag.params[1]
-    if tag.name == MHH_S:
-        return 2 * tag.params[0]
     return 2 * tag.params[0]
 
 
 def component_even_size(tag):
     """How many leading local corner indices carry degree zero."""
-    if tag.name in (MHL_T, MHL_EXC, MHH_S):
-        return tag.params[0]
     return tag.params[0]
 
 
@@ -93,34 +86,15 @@ def _corner_embedding(tag):
     For matrix families this is the element itself; for the doubled families
     x + c y sits as [[x, y], [y, x]]; for the exchange families only the first
     summand lands in the corner (the second is recovered through the flip)."""
-    s = component_corner_size(tag)
-    name = tag.name
-    units = []
-    if name in (MHL_T, MHH_S):
-        n = s
-        for i in range(n):
-            for j in range(n):
-                units.append({(i, j): 1})
-    elif name == MHL_EXC:
-        n = s
-        for i in range(n):
-            for j in range(n):
-                units.append({(i, j): 1})
-        for i in range(n):
-            for j in range(n):
-                units.append({})
-    elif name in (MN_CMN_STAR, MN_CMN_DAGGER, MN_CMN_EXC):
+    if tag.name in (MHL_T, MHH_S, MHL_EXC):
+        n = component_corner_size(tag)
+        units = [{(i, j): 1} for i in range(n) for j in range(n)]
+    else:
         n = tag.params[0]
-        doubled = []
-        for i in range(n):
-            for j in range(n):
-                doubled.append({(i, j): 1, (n + i, n + j): 1})
-        for i in range(n):
-            for j in range(n):
-                doubled.append({(i, n + j): 1, (n + i, j): 1})
-        units = doubled
-        if name == MN_CMN_EXC:
-            units = doubled + [{} for _ in doubled]
+        units = [{(i, j): 1, (n + i, n + j): 1} for i in range(n) for j in range(n)]
+        units += [{(i, n + j): 1, (n + i, j): 1} for i in range(n) for j in range(n)]
+    if tag.name in (MHL_EXC, MN_CMN_EXC):
+        units += [{} for _ in units]
     return units
 
 
@@ -138,9 +112,10 @@ def _component_images(tag, comp):
             for pos, v in a_side[r].items():
                 ent[pos] = ent.get(pos, 0) + c * v
         b_side.append(_local_gamma(s, {p: v for p, v in ent.items() if v}))
-    assert len(a_side) == comp.dim
-    for k in range(comp.dim):
-        assert a_side[k] or b_side[k], "component basis element maps to zero"
+    if len(a_side) != comp.dim:
+        raise InternalInconsistencyError("corner embedding does not match the component dimension")
+    if not all(a or b for a, b in zip(a_side, b_side)):
+        raise InternalInconsistencyError("component basis element maps to zero")
     return a_side, b_side
 
 
@@ -201,7 +176,8 @@ def ut_star(spec):
                 mat[pos] = mat.get(pos, 0) + v
             mat = {p: v for p, v in mat.items() if v}
             degs = {(degrees[r] + degrees[c]) % 2 for (r, c) in mat}
-            assert degs == {comp.grading[t]}, "component image is not homogeneous"
+            if degs != {comp.grading[t]}:
+                raise InternalInconsistencyError("component image is not homogeneous")
             basis_mats.append(mat)
             labels.append(f"D{k + 1}.{comp.labels[t]}")
             grading.append(comp.grading[t])
@@ -227,7 +203,8 @@ def ut_star(spec):
     owner = {}
     for t, mat in enumerate(basis_mats):
         for pos in mat:
-            assert pos not in owner, f"ambient position {pos} claimed twice"
+            if pos in owner:
+                raise InternalInconsistencyError(f"ambient position {pos} claimed twice")
             owner[pos] = t
 
     def decompose(mat):
@@ -288,25 +265,25 @@ def ut_star(spec):
 
 
 def _verify_ut(A, comps, block_index_ranges, radical):
-    problems = validate(A)
-    assert not problems, problems[:3]
+    require_valid(A)
     # each component embeds with its own products, star and grading intact
     for k, comp in enumerate(comps):
         idx = block_index_ranges[k]
         back = {g: t for t, g in enumerate(idx)}
         for t in range(comp.dim):
-            assert A.grading[idx[t]] == comp.grading[t]
-            got = {}
-            for g, c in A.star_sparse(idx[t]).items():
-                assert g in back, "component star leaves the component"
-                got[back[g]] = c
-            assert got == _star_column(comp, t), f"component {k} star differs at {t}"
+            if A.grading[idx[t]] != comp.grading[t]:
+                raise InternalInconsistencyError(f"component {k} grading differs at {t}")
+            star = A.star_sparse(idx[t])
+            if not star.keys() <= back.keys():
+                raise InternalInconsistencyError("component star leaves the component")
+            if {back[g]: c for g, c in star.items()} != _star_column(comp, t):
+                raise InternalInconsistencyError(f"component {k} star differs at {t}")
         for a in range(comp.dim):
             for b in range(comp.dim):
-                got = {}
-                for g, c in A.mul_pairs(idx[a], idx[b]):
-                    assert g in back, "component product leaves the component"
-                    got[back[g]] = c
-                assert got == dict(comp.mul_pairs(a, b)), f"component {k} products differ"
-    rad = jacobson_radical(A)
-    assert rad == coordinate_span(A.dim, radical), "radical is not the strict upper part"
+                prod = A.mul_pairs(idx[a], idx[b])
+                if not all(g in back for g, _ in prod):
+                    raise InternalInconsistencyError("component product leaves the component")
+                if {back[g]: c for g, c in prod} != dict(comp.mul_pairs(a, b)):
+                    raise InternalInconsistencyError(f"component {k} products differ")
+    if jacobson_radical(A) != coordinate_span(A.dim, radical):
+        raise InternalInconsistencyError("radical is not the strict upper part")

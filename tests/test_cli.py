@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import stargraded as sg
+from stargraded import core
 from stargraded.cli import main
 
 HEADER = "check,subject,kind,n,expected,actual,status"
@@ -149,6 +150,9 @@ BAD_INPUTS = [
     ("identity", "--spec", "m_hl_transpose:1,1", "--rank", "3", "--kind", "y+", "--deleted", "5"),
     ("codim", "--spec", "m_hl_transpose:1,1", "--n", "0"),
     ("codim", "--spec", "m_hl_transpose:1,1", "--n", "0", "--table"),
+    ("dims", "--spec", "tensor[m_hl_transpose:1,1|m_hl_transpose:1,0]"),
+    ("dims", "--spec", "tensor[m_hl_transpose:1,1|m_hl_transpose:1,1]"),
+    ("dims", "--spec", "commutative_nilpotent:0"),
 ]
 BAD_OPTIONS = [
     ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "0,1"),
@@ -167,12 +171,22 @@ def test_bad_ranks_and_degrees_exit_one_with_a_message(args):
     assert res.output.startswith("error: ") and len(res.output.strip()) > len("error:")
 
 
+def scaled_m11(tmp_path, coeff):
+    """M_{1,1} on the basis s*e_ij, whose structure constants are all s = coeff."""
+    doc = sg.to_interchange(sg.m_hl_transpose(1, 1))
+    doc["structure"] = [[i, j, k, coeff] for i, j, k, _ in doc["structure"]]
+    path = tmp_path / f"m11_{coeff.replace('/', '_')}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("optimize", [False, True])
-def test_bad_input_messages_do_not_depend_on_asserts(optimize):
+def test_bad_input_messages_do_not_depend_on_asserts(optimize, tmp_path):
     src = str(Path(sg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-O"] if optimize else []
-    for args in BAD_INPUTS[:3] + [BAD_OPTIONS[0], BAD_OPTIONS[2]]:
+    denominator = ("--mod-p", "5", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
+    for args in BAD_INPUTS[:3] + BAD_INPUTS[4:] + [BAD_OPTIONS[0], BAD_OPTIONS[2], denominator]:
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "stargraded.cli", *args],
             capture_output=True, text=True, env=env, timeout=120,
@@ -186,6 +200,28 @@ def test_prime_modulus_screens_the_rank():
     res = run("--mod-p", "2147483647", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
     assert res.exit_code == 0
     assert res.output == run("codim", "--spec", "m_hl_transpose:1,1", "--n", "3").output
+
+
+def test_prime_dividing_a_denominator_is_bad_input(tmp_path):
+    res = run("--mod-p", "5", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ") and "choose another prime" in res.output
+    # another prime screens the same file
+    res = run("--mod-p", "7", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
+    assert res.exit_code == 0 and res.output.strip().endswith(",57,ok")
+
+
+def test_rank_drop_mod_p_stays_an_internal_inconsistency(tmp_path):
+    # every product of M_{1,1} on the basis 2*e_ij is even, so the rank drops mod 2
+    res = run("--mod-p", "2", "codim", "--input", scaled_m11(tmp_path, "2/1"), "--n", "2")
+    assert res.exit_code == 3
+    assert res.output.startswith("internal inconsistency: ") and "unlucky prime" in res.output
+
+
+def test_failed_self_check_exits_three(monkeypatch):
+    monkeypatch.setattr(core, "validate", lambda A: ["planted violation"])
+    res = run("ut", "--components", "m_hl_transpose:1,0+m_hl_transpose:1,0")
+    assert res.exit_code == 3 and "planted violation" in res.output
 
 
 def test_high_rank_identity_is_answered_without_building_terms():

@@ -75,9 +75,9 @@ def test_tensor_extension_multiplies_componentwise(m2):
 
 
 def test_extensions_require_a_simple_unital_base(small_ut):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="simple"):
         sg.one_sided_radical_extension(small_ut)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="simple"):
         sg.tensor_nilpotent_extension(small_ut, sg.commutative_nilpotent(1))
 
 
@@ -86,3 +86,17 @@ def test_wedderburn_block_survives_in_extensions(m2):
     assert len(E.wedderburn.blocks) == 1
     assert E.wedderburn.blocks[0].indices == tuple(range(m2.dim))
     assert E.wedderburn.blocks[0].family == sg.MHL_T
+
+
+@pytest.mark.parametrize("k", [0, -1, "a"])
+def test_commutative_nilpotent_needs_a_positive_count(k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        sg.commutative_nilpotent(k)
+
+
+def test_tensor_factor_must_be_trivially_graded_and_nilpotent(m2):
+    with pytest.raises(ValueError, match="not nilpotent"):
+        sg.tensor_nilpotent_extension(m2, sg.m_hl_transpose(1, 0))
+    with pytest.raises(ValueError, match="trivially graded"):
+        sg.tensor_nilpotent_extension(m2, sg.m_hl_transpose(1, 1))
+

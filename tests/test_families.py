@@ -80,6 +80,22 @@ def test_tag_validation_rejects_bad_parameters():
         FamilyTag(sg.MN_CMN_STAR, (2, "q"))
     with pytest.raises(ValueError):
         FamilyTag("no_such_family", (1,))
+    # the constructors check their parameters too
+    for build, args in (
+        (sg.m_hl_transpose, (0, 0)),
+        (sg.m_hl_transpose, (1, 2)),
+        (sg.m_hh_symplectic, (0,)),
+        (sg.m_hl_exchange, (1, 2)),
+        (sg.m_hl_exchange, (0, 0)),
+        (sg.mn_cmn, (3, "s", "-")),
+        (sg.mn_cmn, (2, "q", "+")),
+        (sg.mn_cmn, (0, "t", "+")),
+        (sg.mn_cmn, (1, "t", "x")),
+        (sg.mn_cmn_exchange, (0,)),
+        (sg.mn_cmn_exchange, ("a",)),
+    ):
+        with pytest.raises(ValueError):
+            build(*args)
 
 
 def test_parse_family_token_errors():

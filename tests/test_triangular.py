@@ -4,6 +4,7 @@ restriction, mirror involution, radical placement."""
 import pytest
 
 import stargraded as sg
+from stargraded import core
 from stargraded.checks import parse_ut_spec
 from stargraded.core import sparse_mul, sparse_star
 from stargraded.triangular import UtSpec, component_corner_size, is_trivially_graded
@@ -105,3 +106,14 @@ def test_single_component_ut_is_the_component_itself():
     assert sg.hom_dims(A) == (2, 0, 1, 1)
     assert sg.jacobson_radical(A).is_zero()
     assert sg.is_star_graded_simple(A)
+
+
+def test_failed_self_checks_are_internal_inconsistencies(monkeypatch, m2):
+    # a construction's self-check raises a typed error, also under python -O
+    monkeypatch.setattr(core, "validate", lambda A: ["planted violation"])
+    with pytest.raises(sg.InternalInconsistencyError, match="planted violation"):
+        sg.ut_star(parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", "0,0"))
+    with pytest.raises(sg.InternalInconsistencyError, match="planted violation"):
+        sg.one_sided_radical_extension(m2)
+    with pytest.raises(sg.InternalInconsistencyError, match="planted violation"):
+        sg.commutative_nilpotent(1)
