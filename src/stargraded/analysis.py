@@ -649,10 +649,15 @@ def codim_table(A, n_max, config=DEFAULT_CONFIG):
     return rows
 
 
+def _require_wedderburn(A):
+    if A.wedderburn is None:
+        raise ValueError("needs Wedderburn block data")
+
+
 def admissible_exponent(A, config=DEFAULT_CONFIG):
     """Largest total block dimension over subsets of Wedderburn blocks that can
     be chained through the radical in some order without vanishing."""
-    assert A.wedderburn is not None, "needs Wedderburn block data"
+    _require_wedderburn(A)
     blocks = A.wedderburn.blocks
     if not blocks:
         return 0
@@ -671,7 +676,7 @@ def admissible_exponent(A, config=DEFAULT_CONFIG):
 
 def is_reduced(A, config=DEFAULT_CONFIG):
     """True when the full block set admits a nonvanishing radical chain."""
-    assert A.wedderburn is not None, "needs Wedderburn block data"
+    _require_wedderburn(A)
     blocks = A.wedderburn.blocks
     if not blocks:
         return False

@@ -126,8 +126,13 @@ def _parse_term(text):
         return tensor_nilpotent_extension(parse_algebra_spec(inner[0]), parse_algebra_spec(inner[1]))
     name, _, args = text.partition(":")
     if name == "commutative_nilpotent":
-        return commutative_nilpotent(*(_parse_params(args) if args else (1,)))
+        params = _parse_params(args) if args else (1,)
+        if len(params) != 1:
+            raise ValueError(f"commutative_nilpotent takes one parameter k, got {args!r}")
+        return commutative_nilpotent(*params)
     if name == "noncommutative_nilpotent":
+        if args:
+            raise ValueError(f"noncommutative_nilpotent takes no parameters, got {args!r}")
         return noncommutative_nilpotent()
     return build_family(parse_family_token(text))
 

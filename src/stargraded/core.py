@@ -158,25 +158,44 @@ def star(A, u):
 
 
 def grading_projection(A, u, degree):
-    """Coordinate projection onto the degree-0 or degree-1 graded part."""
-    return [c if A.grading[k] == degree else 0 for k, c in enumerate(u)]
+    """Projection of a sparse vector onto the degree-0 or degree-1 graded part."""
+    return {k: c for k, c in u.items() if A.grading[k] == degree}
+
+
+def _failing(diff):
+    # sorted keys, last coordinate dropped, of the nonzero entries of a difference
+    return sorted({key[:-1] for key, x in diff.items() if x != 0})
 
 
 def validate(A):
-    """Check every structural invariant; returns a list of violation strings."""
+    """Check every structural invariant; returns a list of violation strings.
+
+    Both sides of associativity and of the antiautomorphism law are summed from
+    the nonzero structure constants only, so a basis triple or pair whose
+    products all vanish costs nothing; it is still checked, as a zero difference."""
     report = []
     d = A.dim
-    # basis products e_j e_k, each computed once
-    prods = [[sparse_mul(A, {j: 1}, {k: 1}) for k in range(d)] for j in range(d)]
-    # associativity on all basis triples
+    rows = A.pair_rows()
+    # landing[m]: the (j, k, c) with c the e_m coefficient of e_j e_k
+    landing = [[] for _ in range(d)]
+    for (j, k), row in A.structure.items():
+        for m, c in row.items():
+            landing[m].append((j, k, c))
+    # associativity on all basis triples, one left factor i at a time:
+    # diff[(j, k, t)] is the e_t coefficient of (e_i e_j) e_k - e_i (e_j e_k)
     for i in range(d):
-        for j in range(d):
-            ij = prods[i][j]
-            for k in range(d):
-                left = sparse_mul(A, ij, {k: 1})
-                right = sparse_mul(A, {i: 1}, prods[j][k])
-                if left != right:
-                    report.append(f"associativity fails at basis triple ({i},{j},{k})")
+        diff = {}
+        for j, ij in rows[i].items():
+            for m, c in ij:
+                for k, mk in rows[m].items():
+                    for t, c2 in mk:
+                        diff[j, k, t] = diff.get((j, k, t), 0) + c * c2
+        for m, im in rows[i].items():
+            for j, k, c in landing[m]:
+                for t, c2 in im:
+                    diff[j, k, t] = diff.get((j, k, t), 0) - c * c2
+        for j, k in _failing(diff):
+            report.append(f"associativity fails at basis triple ({i},{j},{k})")
     # grading compatibility of products
     for (i, j), row in A.structure.items():
         deg = (A.grading[i] + A.grading[j]) % 2
@@ -184,11 +203,8 @@ def validate(A):
             if A.grading[k] != deg:
                 report.append(f"grading compatibility fails at product ({i},{j})->{k}")
     # involution order 2
-    m = [list(r) for r in A.involution]
-    sq = mat_mul(m, m)
     for k in range(d):
-        col = [sq[r][k] for r in range(d)]
-        if col != [1 if r == k else 0 for r in range(d)]:
+        if sparse_star(A, A.star_sparse(k)) != {k: 1}:
             report.append(f"involution order: square is not identity at column {k}")
             break
     # involution preserves grading
@@ -197,14 +213,24 @@ def validate(A):
             if x != 0 and A.grading[r] != A.grading[k]:
                 report.append(f"involution grading preservation fails at basis {k}")
                 break
-    # antiautomorphism on all basis pairs
-    stars = [sparse_star(A, {k: 1}) for k in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = sparse_star(A, prods[i][j])
-            rhs = sparse_mul(A, stars[j], stars[i])
-            if lhs != rhs:
-                report.append(f"antiautomorphism fails at basis pair ({i},{j})")
+    # antiautomorphism on all basis pairs: diff[(i, j, t)] is the e_t coefficient
+    # of (e_i e_j)* - e_j* e_i*, where e_j* = sum_a S[a][j] e_a
+    inv_rows = [[] for _ in range(d)]
+    for k in range(d):
+        for a, x in A.star_sparse(k).items():
+            inv_rows[a].append((k, x))
+    diff = {}
+    for (i, j), row in A.structure.items():
+        for m, c in row.items():
+            for t, x in A.star_sparse(m).items():
+                diff[i, j, t] = diff.get((i, j, t), 0) + c * x
+    for (a, b), row in A.structure.items():
+        for j, x in inv_rows[a]:
+            for i, y in inv_rows[b]:
+                for t, c in row.items():
+                    diff[i, j, t] = diff.get((i, j, t), 0) - x * y * c
+    for i, j in _failing(diff):
+        report.append(f"antiautomorphism fails at basis pair ({i},{j})")
     return report
 
 
@@ -217,7 +243,7 @@ def require_valid(A):
 
 
 def hom_components(A):
-    """Split A into even/odd symmetric/skew parts via u -> (u ± star(u))/2."""
+    """Split A into even/odd symmetric/skew parts, spanned by the e_k ± star(e_k)."""
     if A._hom is not None:
         return A._hom
     parts = {(0, 1): [], (0, -1): [], (1, 1): [], (1, -1): []}
@@ -226,9 +252,9 @@ def hom_components(A):
         sk = A.star_sparse(k)
         for sign in (1, -1):
             v = [0] * A.dim
-            v[k] = Fraction(1, 2)
+            v[k] = 1
             for r, x in sk.items():
-                v[r] = _as_num(v[r] + sign * Fraction(x) / 2)
+                v[r] += sign * x
             parts[(g, sign)].append(v)
     comp = HomComponents(
         even_sym=Subspace(A.dim, parts[(0, 1)]),
@@ -250,10 +276,9 @@ def subspace_product(A, U, V):
     """Span of all pairwise products of the two subspaces' basis vectors."""
     assert U.ambient_dim == A.dim and V.ambient_dim == A.dim
     vecs = []
-    for u in U.basis:
-        su = to_sparse(u)
-        for v in V.basis:
-            w = sparse_mul(A, su, to_sparse(v))
+    for su in U.sparse_basis:
+        for sv in V.sparse_basis:
+            w = sparse_mul(A, su, sv)
             if w:
                 vecs.append(to_dense(w, A.dim))
     return Subspace(A.dim, vecs)
@@ -275,17 +300,13 @@ def jacobson_radical(A):
         return A._radical
     d = A.dim
     T = _left_trace_weights(A)
-
-    def tr_left(w, lam):
-        s = sum(c * T[i] for i, c in w.items())
-        return _as_num(s + (d + 1) * lam)
-
-    # Gram matrix over the unit extension's basis (d algebra vectors + adjoined unit)
+    # Gram matrix of the trace form over the unit extension's basis (d algebra
+    # vectors + adjoined unit): tr L_{e_i e_j} = sum_k c_ij^k T[k], zero when e_i e_j = 0
     G = [[0] * (d + 1) for _ in range(d + 1)]
+    for (i, j), row in A.structure.items():
+        G[i][j] = _as_num(sum(c * T[k] for k, c in row.items()))
     for i in range(d):
-        for j in range(d):
-            G[i][j] = tr_left(sparse_mul(A, {i: 1}, {j: 1}), 0)
-        G[i][d] = G[d][i] = tr_left({i: 1}, 0)
+        G[i][d] = G[d][i] = T[i]
     G[d][d] = d + 1
     kernel = nullspace(G, d + 1)
     for v in kernel:
@@ -301,16 +322,15 @@ def jacobson_radical(A):
 
 def _verify_radical(A, J):
     # two-sided ideal, star- and grading-stable, nilpotent
-    for v in J.basis:
-        sv = to_sparse(v)
-        if not J.contains(to_dense(sparse_star(A, sv), A.dim)):
+    for sv in J.sparse_basis:
+        if not J.contains(sparse_star(A, sv)):
             raise InternalInconsistencyError("radical not star-stable")
-        if not J.contains(grading_projection(A, v, 0)):
+        if not J.contains(grading_projection(A, sv, 0)):
             raise InternalInconsistencyError("radical not grading-stable")
         for i in range(A.dim):
-            if not J.contains(to_dense(sparse_mul(A, {i: 1}, sv), A.dim)):
+            if not J.contains(sparse_mul(A, {i: 1}, sv)):
                 raise InternalInconsistencyError("radical not a left ideal")
-            if not J.contains(to_dense(sparse_mul(A, sv, {i: 1}), A.dim)):
+            if not J.contains(sparse_mul(A, sv, {i: 1})):
                 raise InternalInconsistencyError("radical not a right ideal")
     if not is_nilpotent(A, J):
         raise InternalInconsistencyError("radical not nilpotent")
@@ -374,14 +394,13 @@ def peirce_decompose(A):
     """Split the radical by the left/right action of the semisimple unit."""
     e = semisimple_unit(A)
     J = jacobson_radical(A)
+    # e v and v e for each radical basis vector v, shared by the four (p, q) pieces
+    actions = [(sv, sparse_mul(A, e, sv), sparse_mul(A, sv, e)) for sv in J.sparse_basis]
     spaces = {}
     for p in (0, 1):
         for q in (0, 1):
             cols = []
-            for v in J.basis:
-                sv = to_sparse(v)
-                lv = sparse_mul(A, e, sv)
-                rv = sparse_mul(A, sv, e)
+            for sv, lv, rv in actions:
                 col = [_as_num(lv.get(r, 0) - p * sv.get(r, 0)) for r in range(A.dim)]
                 col += [_as_num(rv.get(r, 0) - q * sv.get(r, 0)) for r in range(A.dim)]
                 cols.append(col)
@@ -553,11 +572,11 @@ def is_star_graded_simple(A):
             if mask >> b & 1:
                 span = span.add(blocks[b])
         ok = True
-        for v in span.basis:
-            if not span.contains(to_dense(sparse_star(A, to_sparse(list(v))), A.dim)):
+        for sv in span.sparse_basis:
+            if not span.contains(sparse_star(A, sv)):
                 ok = False
                 break
-            if not span.contains(grading_projection(A, list(v), 0)):
+            if not span.contains(grading_projection(A, sv, 0)):
                 ok = False
                 break
         if ok:

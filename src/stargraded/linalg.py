@@ -27,12 +27,13 @@ def rref(rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
+        # entries are already normalized by _as_num, so zeros pass through unchanged
         if pv != 1:
-            m[r] = [_as_num(Fraction(x, 1) / pv) for x in m[r]]
+            m[r] = [_as_num(Fraction(x, 1) / pv) if x else 0 for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [_as_num(a - f * b) for a, b in zip(m[i], m[r])]
+                m[i] = [_as_num(a - f * b) if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -54,11 +55,11 @@ def nullspace(rows, ncols=None):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for i, c in enumerate(pivots):
-            v[c] = -Fraction(red[i][f])
-        basis.append([_as_num(x) for x in v])
+            v[c] = -red[i][f]
+        basis.append(v)
     return rref(basis)[0]
 
 
@@ -98,15 +99,20 @@ def coordinate_span(ambient_dim, indices):
 
 
 class Subspace:
-    """A linear subspace of F^ambient_dim held as a canonical RREF basis."""
+    """A linear subspace of F^ambient_dim held as a canonical RREF basis.
 
-    __slots__ = ("ambient_dim", "basis")
+    `sparse_basis` holds the same rows as sparse dicts, and `pivots` maps each
+    pivot column to its row there."""
+
+    __slots__ = ("ambient_dim", "basis", "sparse_basis", "pivots")
 
     def __init__(self, ambient_dim, basis_rows=()):
-        red, _ = rref([list(r) for r in basis_rows])
+        red, pivots = rref([list(r) for r in basis_rows])
         assert all(len(r) == ambient_dim for r in red)
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(r) for r in red)
+        self.sparse_basis = tuple({j: x for j, x in enumerate(r) if x != 0} for r in red)
+        self.pivots = dict(zip(pivots, self.sparse_basis))
 
     @property
     def dim(self):
@@ -116,17 +122,23 @@ class Subspace:
         return not self.basis
 
     def contains(self, v):
-        assert len(v) == self.ambient_dim
-        w = [_as_num(x) for x in v]
-        for row in self.basis:
-            c = next((j for j, x in enumerate(row) if x != 0), None)
-            if c is not None and w[c] != 0:
-                f = w[c]
-                w = [_as_num(a - f * b) for a, b in zip(w, row)]
-        return all(x == 0 for x in w)
+        """Membership of a coordinate sequence, or of a sparse dict {index: coeff}.
+
+        In RREF every pivot column is zero outside its own row, so v is in the
+        span exactly when v minus sum over pivots c of v[c] * row_c is zero."""
+        if not isinstance(v, dict):
+            assert len(v) == self.ambient_dim
+            v = {j: x for j, x in enumerate(v) if x != 0}
+        w = dict(v)
+        for c, f in v.items():
+            row = self.pivots.get(c)
+            if row is not None:
+                for j, x in row.items():
+                    w[j] = w.get(j, 0) - f * x
+        return all(x == 0 for x in w.values())
 
     def contains_subspace(self, other):
-        return all(self.contains(list(r)) for r in other.basis)
+        return all(self.contains(r) for r in other.sparse_basis)
 
     def add(self, other):
         assert self.ambient_dim == other.ambient_dim

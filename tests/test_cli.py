@@ -153,6 +153,8 @@ BAD_INPUTS = [
     ("dims", "--spec", "tensor[m_hl_transpose:1,1|m_hl_transpose:1,0]"),
     ("dims", "--spec", "tensor[m_hl_transpose:1,1|m_hl_transpose:1,1]"),
     ("dims", "--spec", "commutative_nilpotent:0"),
+    ("dims", "--spec", "commutative_nilpotent:1,2"),
+    ("dims", "--spec", "noncommutative_nilpotent:3"),
 ]
 BAD_OPTIONS = [
     ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "0,1"),
@@ -180,13 +182,23 @@ def scaled_m11(tmp_path, coeff):
     return str(path)
 
 
+def without_wedderburn(tmp_path):
+    """M_{1,1} as an interchange file with no Wedderburn block data."""
+    doc = sg.to_interchange(sg.m_hl_transpose(1, 1))
+    del doc["wedderburn"]
+    path = tmp_path / "m11_no_blocks.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_bad_input_messages_do_not_depend_on_asserts(optimize, tmp_path):
     src = str(Path(sg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-O"] if optimize else []
     denominator = ("--mod-p", "5", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
-    for args in BAD_INPUTS[:3] + BAD_INPUTS[4:] + [BAD_OPTIONS[0], BAD_OPTIONS[2], denominator]:
+    no_blocks = ("exponent", "--input", without_wedderburn(tmp_path))
+    for args in BAD_INPUTS[:3] + BAD_INPUTS[4:] + [BAD_OPTIONS[0], BAD_OPTIONS[2], denominator, no_blocks]:
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "stargraded.cli", *args],
             capture_output=True, text=True, env=env, timeout=120,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import stargraded as sg
+from stargraded import core
 from stargraded.core import (
     StarSuperAlgebra,
     _frac_str,
@@ -150,3 +151,46 @@ def test_frac_str_lowest_terms():
 
 def test_radical_centralizer_sizes(ut2):
     assert sg.radical_centralizer(ut2).dim == 0
+
+
+def reference_peirce(A):
+    """The four pieces J_pq = {v in J : e v = p v, v e = q v}, each from its own
+    e v and v e, as peirce_decompose computed them before it shared them."""
+    e = semisimple_unit(A)
+    J = sg.jacobson_radical(A)
+    pieces = []
+    for p in (0, 1):
+        for q in (0, 1):
+            cols = []
+            for v in J.basis:
+                sv = core.to_sparse(v)
+                lv, rv = sparse_mul(A, e, sv), sparse_mul(A, sv, e)
+                cols.append([lv.get(r, 0) - p * sv.get(r, 0) for r in range(A.dim)]
+                            + [rv.get(r, 0) - q * sv.get(r, 0) for r in range(A.dim)])
+            pieces.append(core._kernel(A.dim, J.basis, cols))
+    return pieces
+
+
+@pytest.mark.parametrize("spec, dims, products", [
+    # 32 products for the block unit of M_{1,1}, then e v and v e once per radical
+    # basis vector v; four passes that each recompute them would make 160, 96 and 48
+    ("tensor[m_hl_transpose:1,1|noncommutative_nilpotent]", (0, 0, 0, 16), 64),
+    ("one_sided[m_hl_transpose:1,1]", (0, 4, 4, 0), 48),
+    ("m_hl_transpose:1,1+commutative_nilpotent:2", (2, 0, 0, 0), 36),
+])
+def test_peirce_computes_each_action_once(spec, dims, products, monkeypatch):
+    A = sg.parse_algebra_spec(spec)
+    sg.jacobson_radical(A)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return sparse_mul(*args)
+
+    monkeypatch.setattr(core, "sparse_mul", counted)
+    dec = sg.peirce_decompose(A)
+    monkeypatch.undo()
+    assert calls[0] == products
+    pieces = [dec.j00, dec.j01, dec.j10, dec.j11]
+    assert tuple(p.dim for p in pieces) == dims
+    assert pieces == reference_peirce(A)
