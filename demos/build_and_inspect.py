@@ -5,6 +5,7 @@ import json
 import tempfile
 
 import stargraded as sg
+from stargraded.core import sparse_star
 
 GRID = [
     ("transpose type, h=2 l=1", sg.m_hl_transpose(2, 1)),
@@ -24,9 +25,7 @@ def describe(name, A):
     print(f"  dim {A.dim}, simple: {sg.is_star_graded_simple(A)}")
     print(f"  even symmetric {yp}, even skew {ym}, odd symmetric {zp}, odd skew {zm}")
     k = next(i for i in range(A.dim) if A.grading[i] == 0)
-    v = [1 if i == k else 0 for i in range(A.dim)]
-    sv = sg.star(A, v)
-    img = " + ".join(f"{c}*{A.labels[i]}" for i, c in enumerate(sv) if c)
+    img = " + ".join(f"{c}*{A.labels[i]}" for i, c in sorted(sparse_star(A, {k: 1}).items()))
     print(f"  star({A.labels[k]}) = {img}")
 
 

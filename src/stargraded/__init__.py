@@ -47,12 +47,10 @@ from .core import (
     is_star_graded_simple,
     jacobson_radical,
     load_algebra,
-    multiply,
     peirce_decompose,
     radical_centralizer,
     save_algebra,
     semisimple_unit,
-    star,
     to_interchange,
     validate,
 )

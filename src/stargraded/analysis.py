@@ -13,7 +13,6 @@ from .core import (
     sparse_mul,
     subspace_product,
     to_dense,
-    to_sparse,
 )
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
@@ -110,13 +109,8 @@ def kind_basis(A, kind):
     basis = A._kind_bases.get(kind)
     if basis is None:
         comp = hom_components(A)
-        if kind == ANY:
-            vecs = []
-            for k in KINDS:
-                vecs.extend(comp.by_kind(k).basis)
-        else:
-            vecs = comp.by_kind(kind).basis
-        basis = A._kind_bases[kind] = tuple(to_sparse(list(v)) for v in vecs)
+        kinds = KINDS if kind == ANY else (kind,)
+        basis = A._kind_bases[kind] = tuple(v for k in kinds for v in comp.by_kind(k).sparse_basis)
     return basis
 
 
@@ -632,7 +626,7 @@ def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
 def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
     _check_degree(n, config)
-    dom = [A.basis_sparse(k) for k in range(A.dim)]
+    dom = [{k: 1} for k in range(A.dim)]
     primes = (config.mod_p,) if config.mod_p else ()
     r = _assignment_rank(A, [dom] * n, config, primes)
     return CodimReport(n, r, {("any",) * n: r})

@@ -4,9 +4,10 @@ decomposition, radical, Peirce decomposition, simplicity, direct sums, serializa
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CenterNotSplitError, InternalInconsistencyError
-from .linalg import Subspace, _as_num, mat_mul, mat_vec, nullspace, rank, solve
+from .linalg import RankTracker, Subspace, _as_num, mat_mul, nullspace, solve
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,34 @@ class PeirceDecomposition:
     j11: Subspace
 
 
+def _check_indices(dim, *indices):
+    for i in indices:
+        if type(i) is not int or not 0 <= i < dim:
+            raise ValueError(f"basis index {i!r} is outside range({dim})")
+
+
+def _coeff(c):
+    # an exact rational from an int, a Fraction or a string such as "-3/2"
+    try:
+        return _as_num(c)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"bad coefficient {c!r}: expected a rational such as \"-3/2\"") from None
+
+
 class StarSuperAlgebra:
     """Finite-dimensional superalgebra over Q given by structure constants, a 0/1
     grading on the basis, and an involution matrix (column k = image of basis k)."""
 
     def __init__(self, dim, labels, structure, grading, involution, wedderburn=None, layout=None):
-        assert len(labels) == dim and len(grading) == dim
+        if len(labels) != dim or len(grading) != dim:
+            raise ValueError(f"dim {dim} but {len(labels)} labels and {len(grading)} grading bits")
+        for g in grading:
+            if g not in (0, 1):
+                raise ValueError(f"grading bit {g!r} is not 0 or 1")
         table = {}
         for i, j, k, c in structure:
-            assert 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
-            c = _as_num(c)
+            _check_indices(dim, i, j, k)
+            c = _coeff(c)
             if c != 0:
                 row = table.setdefault((i, j), {})
                 row[k] = _as_num(row.get(k, 0) + c)
@@ -69,7 +88,8 @@ class StarSuperAlgebra:
         self.structure = {ij: row for ij, row in self.structure.items() if row}
         self.grading = tuple(int(g) for g in grading)
         self.involution = tuple(tuple(_as_num(x) for x in row) for row in involution)
-        assert len(self.involution) == dim and all(len(r) == dim for r in self.involution)
+        if len(self.involution) != dim or any(len(r) != dim for r in self.involution):
+            raise ValueError(f"the involution is not a {dim} x {dim} matrix")
         self.wedderburn = wedderburn
         self.layout = layout
         self._pairs = None
@@ -100,9 +120,6 @@ class StarSuperAlgebra:
                 for k in range(self.dim)
             ]
         return self._star_sparse[k]
-
-    def basis_sparse(self, k):
-        return {k: 1}
 
     def __repr__(self):
         return f"StarSuperAlgebra(dim={self.dim})"
@@ -143,18 +160,6 @@ def to_dense(u, dim):
 
 def to_sparse(v):
     return {k: _as_num(c) for k, c in enumerate(v) if c != 0}
-
-
-def multiply(A, u, v):
-    """Bilinear extension of the structure table to coordinate vectors."""
-    assert len(u) == A.dim and len(v) == A.dim
-    return to_dense(sparse_mul(A, to_sparse(u), to_sparse(v)), A.dim)
-
-
-def star(A, u):
-    """Involution applied to a coordinate vector."""
-    assert len(u) == A.dim
-    return mat_vec([list(r) for r in A.involution], list(u))
 
 
 def grading_projection(A, u, degree):
@@ -248,21 +253,16 @@ def hom_components(A):
         return A._hom
     parts = {(0, 1): [], (0, -1): [], (1, 1): [], (1, -1): []}
     for k in range(A.dim):
-        g = A.grading[k]
-        sk = A.star_sparse(k)
         for sign in (1, -1):
-            v = [0] * A.dim
-            v[k] = 1
-            for r, x in sk.items():
-                v[r] += sign * x
-            parts[(g, sign)].append(v)
+            parts[(A.grading[k], sign)].append(_minus({k: 1}, A.star_sparse(k), -sign))
     comp = HomComponents(
         even_sym=Subspace(A.dim, parts[(0, 1)]),
         even_skew=Subspace(A.dim, parts[(0, -1)]),
         odd_sym=Subspace(A.dim, parts[(1, 1)]),
         odd_skew=Subspace(A.dim, parts[(1, -1)]),
     )
-    assert sum(comp.dims) == A.dim
+    if sum(comp.dims) != A.dim:
+        raise InternalInconsistencyError("homogeneous components do not sum to the algebra")
     A._hom = comp
     return comp
 
@@ -274,14 +274,10 @@ def hom_dims(A):
 
 def subspace_product(A, U, V):
     """Span of all pairwise products of the two subspaces' basis vectors."""
-    assert U.ambient_dim == A.dim and V.ambient_dim == A.dim
-    vecs = []
-    for su in U.sparse_basis:
-        for sv in V.sparse_basis:
-            w = sparse_mul(A, su, sv)
-            if w:
-                vecs.append(to_dense(w, A.dim))
-    return Subspace(A.dim, vecs)
+    if U.ambient_dim != A.dim or V.ambient_dim != A.dim:
+        raise ValueError(f"subspaces of F^{U.ambient_dim} and F^{V.ambient_dim} in dimension {A.dim}")
+    vecs = [sparse_mul(A, su, sv) for su in U.sparse_basis for sv in V.sparse_basis]
+    return Subspace(A.dim, [w for w in vecs if w])
 
 
 def _left_trace_weights(A):
@@ -308,12 +304,12 @@ def jacobson_radical(A):
     for i in range(d):
         G[i][d] = G[d][i] = T[i]
     G[d][d] = d + 1
-    kernel = nullspace(G, d + 1)
-    for v in kernel:
-        if v[d] != 0:
-            raise InternalInconsistencyError("radical kernel leaves the algebra")
-    J = Subspace(d, [list(v[:d]) for v in kernel])
-    if rank(G) != d + 1 - J.dim:
+    tr = RankTracker(G)
+    kernel = tr.kernel(d + 1)
+    if any(v[d] != 0 for v in kernel):
+        raise InternalInconsistencyError("radical kernel leaves the algebra")
+    J = Subspace(d, [v[:d] for v in kernel])
+    if tr.rank != d + 1 - J.dim:
         raise InternalInconsistencyError("trace form rank does not match radical dimension")
     _verify_radical(A, J)
     A._radical = J
@@ -321,17 +317,29 @@ def jacobson_radical(A):
 
 
 def _verify_radical(A, J):
-    # two-sided ideal, star- and grading-stable, nilpotent
+    # two-sided ideal, star- and grading-stable, nilpotent; the products e_i v and
+    # v e_i are summed from the nonzero structure constants, so a vanishing one costs nothing
+    rows = A.pair_rows()
+    by_right = [[] for _ in range(A.dim)]  # by_right[j]: (i, e_i e_j) when nonzero
+    for i, row in enumerate(rows):
+        for j, pr in row.items():
+            by_right[j].append((i, pr))
     for sv in J.sparse_basis:
         if not J.contains(sparse_star(A, sv)):
             raise InternalInconsistencyError("radical not star-stable")
         if not J.contains(grading_projection(A, sv, 0)):
             raise InternalInconsistencyError("radical not grading-stable")
-        for i in range(A.dim):
-            if not J.contains(sparse_mul(A, {i: 1}, sv)):
-                raise InternalInconsistencyError("radical not a left ideal")
-            if not J.contains(sparse_mul(A, sv, {i: 1})):
-                raise InternalInconsistencyError("radical not a right ideal")
+        left, right = {}, {}
+        for j, x in sv.items():
+            for products, pairs in ((left, by_right[j]), (right, rows[j].items())):
+                for i, pr in pairs:
+                    out = products.setdefault(i, {})
+                    for k, c in pr:
+                        out[k] = out.get(k, 0) + x * c
+        for products, side in ((left, "left"), (right, "right")):
+            for i in sorted(products):
+                if not J.contains(products[i]):
+                    raise InternalInconsistencyError(f"radical not a {side} ideal")
     if not is_nilpotent(A, J):
         raise InternalInconsistencyError("radical not nilpotent")
 
@@ -376,16 +384,26 @@ def semisimple_unit(A):
     return {k: c for k, c in e.items() if c != 0}
 
 
+def _minus(u, v, a):
+    """The sparse vector u - a v."""
+    w = dict(u)
+    for k, x in v.items():
+        w[k] = w.get(k, 0) - a * x
+    return {k: x for k, x in w.items() if x}
+
+
 def _kernel(dim, basis, images):
     """The Subspace of F^dim of the combinations sum c_a basis[a] whose images
-    sum c_a images[a] vanish."""
+    sum c_a images[a] vanish; basis vectors and images are sparse dicts, the
+    images keyed by any sortable coordinates."""
+    support = sorted(set().union(*images))
     vecs = []
-    for coeffs in nullspace([list(r) for r in zip(*images)], len(images)):
-        w = [0] * dim
+    for coeffs in nullspace([[img.get(r, 0) for img in images] for r in support], len(images)):
+        w = {}
         for a, c in enumerate(coeffs):
             if c:
-                for r in range(dim):
-                    w[r] = _as_num(w[r] + c * basis[a][r])
+                for r, x in basis[a].items():
+                    w[r] = w.get(r, 0) + c * x
         vecs.append(w)
     return Subspace(dim, vecs)
 
@@ -399,12 +417,12 @@ def peirce_decompose(A):
     spaces = {}
     for p in (0, 1):
         for q in (0, 1):
-            cols = []
-            for sv, lv, rv in actions:
-                col = [_as_num(lv.get(r, 0) - p * sv.get(r, 0)) for r in range(A.dim)]
-                col += [_as_num(rv.get(r, 0) - q * sv.get(r, 0)) for r in range(A.dim)]
-                cols.append(col)
-            spaces[(p, q)] = _kernel(A.dim, J.basis, cols)
+            cols = [
+                {(0, r): x for r, x in _minus(lv, sv, p).items()}
+                | {(1, r): x for r, x in _minus(rv, sv, q).items()}
+                for sv, lv, rv in actions
+            ]
+            spaces[(p, q)] = _kernel(A.dim, J.sparse_basis, cols)
     dec = PeirceDecomposition(spaces[(0, 0)], spaces[(0, 1)], spaces[(1, 0)], spaces[(1, 1)])
     if dec.j00.dim + dec.j01.dim + dec.j10.dim + dec.j11.dim != J.dim:
         raise InternalInconsistencyError("Peirce pieces do not sum to the radical")
@@ -419,23 +437,20 @@ def radical_centralizer(A):
         return j11
     semis = [t for b in A.wedderburn.blocks for t in b.indices]
     cols = []
-    for v in j11.basis:
-        sv = to_sparse(v)
-        col = []
+    for sv in j11.sparse_basis:
+        col = {}
         for t in semis:
-            xa = sparse_mul(A, sv, {t: 1})
-            ax = sparse_mul(A, {t: 1}, sv)
-            col += [_as_num(xa.get(r, 0) - ax.get(r, 0)) for r in range(A.dim)]
+            for r, x in _minus(sparse_mul(A, sv, {t: 1}), sparse_mul(A, {t: 1}, sv), 1).items():
+                col[t, r] = x
         cols.append(col)
-    return _kernel(A.dim, j11.basis, cols)
+    return _kernel(A.dim, j11.sparse_basis, cols)
 
 
 def _min_poly(M):
     # coefficients (lowest degree first) of the monic minimal polynomial of M
     n = len(M)
-    powers = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    flats = [[powers[i][j] for i in range(n) for j in range(n)]]
-    current = powers
+    current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    flats = [[x for row in current for x in row]]
     for _ in range(n):
         current = mat_mul(current, M)
         flat = [current[i][j] for i in range(n) for j in range(n)]
@@ -449,12 +464,7 @@ def _min_poly(M):
 
 def _rational_roots(coeffs):
     # distinct rational roots of a polynomial with rational coefficients
-    from math import gcd
-
-    dens = [Fraction(c).denominator for c in coeffs]
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
     ic = [int(Fraction(c) * scale) for c in coeffs]
     roots = []
     while ic and ic[0] == 0:
@@ -487,35 +497,29 @@ def _rational_roots(coeffs):
 def central_primitive_idempotents(A):
     """Central primitive idempotents of a semisimple algebra, found by splitting the center."""
     d = A.dim
-    rows = []
-    for i in range(d):
-        li = [[0] * d for _ in range(d)]
-        ri = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for k, c in A.mul_pairs(i, j):
-                li[k][j] = c
-            for k, c in A.mul_pairs(j, i):
-                ri[k][j] = c
-        for r in range(d):
-            rows.append([_as_num(li[r][c0] - ri[r][c0]) for c0 in range(d)])
-    center = nullspace(rows, d)
-    subspaces = [Subspace(d, [list(v) for v in center])]
-    for z in center:
-        sz = to_sparse(list(z))
+    # the center is the kernel of z -> (e_i z - z e_i)_i; images[j][i, k] is the
+    # e_k coefficient of e_i e_j - e_j e_i
+    images = [{} for _ in range(d)]
+    for (i, j), row in A.structure.items():
+        for k, c in row.items():
+            images[j][i, k] = images[j].get((i, k), 0) + c
+            images[i][j, k] = images[i].get((j, k), 0) - c
+    center = _kernel(d, [{j: 1} for j in range(d)], images)
+    subspaces = [center]
+    for sz in center.sparse_basis:
         refined = []
         for S in subspaces:
             if S.dim <= 1:
                 refined.append(S)
                 continue
-            # matrix of multiplication-by-z on S, in S's basis coordinates
+            # matrix of multiplication-by-z on S, in S's basis coordinates: in
+            # RREF, the coordinates of a member are its entries at the pivots
             imgs = []
-            for v in S.basis:
-                w = to_dense(sparse_mul(A, sz, to_sparse(list(v))), d)
-                m = [[S.basis[a][r] for a in range(S.dim)] for r in range(d)]
-                coeffs = solve(m, w)
-                if coeffs is None:
+            for v in S.sparse_basis:
+                w = sparse_mul(A, sz, v)
+                if not S.contains(w):
                     raise InternalInconsistencyError("center not closed under itself")
-                imgs.append(coeffs)
+                imgs.append([w.get(c, 0) for c in S.pivots])
             M = [[imgs[a][b] for a in range(S.dim)] for b in range(S.dim)]
             mp = _min_poly(M)
             roots = _rational_roots(mp)
@@ -528,11 +532,8 @@ def central_primitive_idempotents(A):
             if len(prod) != len(mp) or any(Fraction(a) != Fraction(b) for a, b in zip(prod, mp)):
                 raise CenterNotSplitError("center minimal polynomial does not split over Q")
             for r0 in roots:
-                shifted = []
-                for v in S.basis:
-                    w = to_dense(sparse_mul(A, sz, to_sparse(list(v))), d)
-                    shifted.append([_as_num(a - r0 * b) for a, b in zip(w, v)])
-                eig = _kernel(d, S.basis, shifted)
+                shifted = [_minus(sparse_mul(A, sz, v), v, r0) for v in S.sparse_basis]
+                eig = _kernel(d, S.sparse_basis, shifted)
                 if not eig.is_zero():
                     refined.append(eig)
         subspaces = refined
@@ -540,13 +541,10 @@ def central_primitive_idempotents(A):
     for S in subspaces:
         if S.dim != 1:
             raise CenterNotSplitError("center does not split into one-dimensional eigenspaces")
-        v = to_sparse(list(S.basis[0]))
+        v = S.sparse_basis[0]
         vv = sparse_mul(A, v, v)
-        t = None
-        for k, c in v.items():
-            t = Fraction(vv.get(k, 0)) / Fraction(c)
-            break
-        if t is None or t == 0 or vv != {k: _as_num(t * c) for k, c in v.items()}:
+        t = vv.get(next(iter(v)), 0)  # an RREF row starts with its pivot entry 1
+        if t == 0 or vv != {k: _as_num(t * c) for k, c in v.items()}:
             raise InternalInconsistencyError("center eigenvector is not idempotent-scaled")
         idempotents.append({k: _as_num(Fraction(c) / t) for k, c in v.items()})
     return idempotents
@@ -558,28 +556,17 @@ def is_star_graded_simple(A):
         return False
     if not jacobson_radical(A).is_zero():
         return False
-    idems = central_primitive_idempotents(A)
-    blocks = []
-    for e in idems:
-        vecs = [to_dense(sparse_mul(A, e, {k: 1}), A.dim) for k in range(A.dim)]
-        blocks.append(Subspace(A.dim, vecs))
-    if len(blocks) <= 1:
-        return True
+    blocks = [
+        Subspace(A.dim, [sparse_mul(A, e, {k: 1}) for k in range(A.dim)])
+        for e in central_primitive_idempotents(A)
+    ]
     n = len(blocks)
     for mask in range(1, (1 << n) - 1):
-        span = Subspace(A.dim)
-        for b in range(n):
-            if mask >> b & 1:
-                span = span.add(blocks[b])
-        ok = True
-        for sv in span.sparse_basis:
-            if not span.contains(sparse_star(A, sv)):
-                ok = False
-                break
-            if not span.contains(grading_projection(A, sv, 0)):
-                ok = False
-                break
-        if ok:
+        span = Subspace(A.dim, [v for b in range(n) if mask >> b & 1 for v in blocks[b].sparse_basis])
+        if all(
+            span.contains(sparse_star(A, sv)) and span.contains(grading_projection(A, sv, 0))
+            for sv in span.sparse_basis
+        ):
             return False
     return True
 
@@ -653,13 +640,16 @@ def to_interchange(A):
 def from_interchange(doc):
     """Rebuild an algebra from an interchange document."""
     dim = doc["dim"]
-    structure = [(i, j, k, Fraction(c)) for i, j, k, c in doc["structure"]]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dim must be a nonnegative integer, not {dim!r}")
     inv = [[0] * dim for _ in range(dim)]
     for r, c, val in doc["involution"]:
-        inv[r][c] = _as_num(Fraction(val))
+        _check_indices(dim, r, c)
+        inv[r][c] = _coeff(val)
     wed = None
     if "wedderburn" in doc and doc["wedderburn"] is not None:
         w = doc["wedderburn"]
+        _check_indices(dim, *w["radical"], *(t for b in w["blocks"] for t in b["indices"]))
         wed = WedderburnData(
             tuple(
                 WedderburnBlock(tuple(b["indices"]), b.get("family"), tuple(b.get("params", ())))
@@ -667,7 +657,7 @@ def from_interchange(doc):
             ),
             tuple(w["radical"]),
         )
-    return StarSuperAlgebra(dim, doc["labels"], structure, doc["grading"], inv, wedderburn=wed)
+    return StarSuperAlgebra(dim, doc["labels"], doc["structure"], doc["grading"], inv, wedderburn=wed)
 
 
 def save_algebra(A, path):

@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals: RREF, rank, nullspace, canonical subspaces."""
+"""Exact linear algebra over the rationals on one fraction-free integer elimination:
+RREF, rank, nullspace, solving, canonical subspaces."""
 
 from bisect import insort
 from fractions import Fraction
@@ -13,72 +14,57 @@ def _as_num(x):
     return f.numerator if f.denominator == 1 else f
 
 
+def _dense(row, n):
+    # a coordinate sequence of length n, or a sparse dict {index: coeff} expanded to one
+    if not isinstance(row, dict):
+        if len(row) != n:
+            raise ValueError(f"a vector of length {len(row)} where {n} is expected")
+        return row
+    if row and not 0 <= min(row) <= max(row) < n:
+        raise ValueError(f"a sparse vector {row} has an index outside range({n})")
+    v = [0] * n
+    for j, x in row.items():
+        v[j] = x
+    return v
+
+
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot_columns); input is not mutated."""
-    m = [[_as_num(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        # entries are already normalized by _as_num, so zeros pass through unchanged
-        if pv != 1:
-            m[r] = [_as_num(Fraction(x, 1) / pv) if x else 0 for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [_as_num(a - f * b) if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    tr = RankTracker(rows)
+    n = len(rows[0]) if rows else 0
+    return [_dense(r, n) for r in tr.reduced()], list(tr.pivots)
 
 
 def rank(rows):
     """Exact rank over the rationals."""
-    return len(rref(rows)[0])
+    return RankTracker(rows).rank
 
 
 def nullspace(rows, ncols=None):
     """Canonical basis of {x : rows @ x = 0}; ncols needed when rows is empty."""
     if rows:
         ncols = len(rows[0])
-    assert ncols is not None
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        basis.append(v)
-    return rref(basis)[0]
+    elif ncols is None:
+        raise ValueError("nullspace of an empty matrix needs ncols")
+    return RankTracker(rows).kernel(ncols)
 
 
 def solve(rows, rhs):
     """One exact solution of rows @ x = rhs, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
     n = len(rows[0]) if rows else 0
-    if n in pivots:
+    tr = RankTracker([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n in tr.rows:
         return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = Fraction(red[i][-1])
-    return [_as_num(v) for v in x]
+    x = [0] * n
+    for c, row in zip(tr.pivots, tr.reduced()):
+        x[c] = row.get(n, 0)
+    return x
 
 
 def mat_vec(m, v):
     """Matrix times column vector."""
-    assert all(len(row) == len(v) for row in m)
+    if any(len(row) != len(v) for row in m):
+        raise ValueError(f"matrix rows do not all have the vector's length {len(v)}")
     return [_as_num(sum(a * b for a, b in zip(row, v))) for row in m]
 
 
@@ -90,29 +76,24 @@ def mat_mul(a, b):
 
 def coordinate_span(ambient_dim, indices):
     """The subspace spanned by the given coordinate axes."""
-    rows = []
-    for k in indices:
-        row = [0] * ambient_dim
-        row[k] = 1
-        rows.append(row)
-    return Subspace(ambient_dim, rows)
+    return Subspace(ambient_dim, [{k: 1} for k in indices])
 
 
 class Subspace:
     """A linear subspace of F^ambient_dim held as a canonical RREF basis.
 
-    `sparse_basis` holds the same rows as sparse dicts, and `pivots` maps each
-    pivot column to its row there."""
+    `sparse_basis` holds the reduced rows as sparse dicts, `pivots` maps each
+    pivot column to its row there, and `basis` holds the same rows dense.
+    Spanning rows may be coordinate sequences or sparse dicts."""
 
     __slots__ = ("ambient_dim", "basis", "sparse_basis", "pivots")
 
     def __init__(self, ambient_dim, basis_rows=()):
-        red, pivots = rref([list(r) for r in basis_rows])
-        assert all(len(r) == ambient_dim for r in red)
+        tr = RankTracker(_dense(r, ambient_dim) for r in basis_rows)
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in red)
-        self.sparse_basis = tuple({j: x for j, x in enumerate(r) if x != 0} for r in red)
-        self.pivots = dict(zip(pivots, self.sparse_basis))
+        self.sparse_basis = tuple(tr.reduced())
+        self.pivots = dict(zip(tr.pivots, self.sparse_basis))
+        self.basis = tuple(tuple(_dense(r, ambient_dim)) for r in self.sparse_basis)
 
     @property
     def dim(self):
@@ -127,7 +108,8 @@ class Subspace:
         In RREF every pivot column is zero outside its own row, so v is in the
         span exactly when v minus sum over pivots c of v[c] * row_c is zero."""
         if not isinstance(v, dict):
-            assert len(v) == self.ambient_dim
+            if len(v) != self.ambient_dim:
+                raise ValueError(f"a vector of length {len(v)} tested in F^{self.ambient_dim}")
             v = {j: x for j, x in enumerate(v) if x != 0}
         w = dict(v)
         for c, f in v.items():
@@ -137,12 +119,10 @@ class Subspace:
                     w[j] = w.get(j, 0) - f * x
         return all(x == 0 for x in w.values())
 
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.sparse_basis)
-
     def add(self, other):
-        assert self.ambient_dim == other.ambient_dim
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError(f"sum of subspaces of F^{self.ambient_dim} and F^{other.ambient_dim}")
+        return Subspace(self.ambient_dim, self.sparse_basis + other.sparse_basis)
 
     def __eq__(self, other):
         return (
@@ -168,13 +148,18 @@ class RankTracker:
     does. The vector being reduced is held dense. Stored rows are sparse,
     primitive (gcd 1, positive pivot) and in echelon form: no row has an entry
     left of its pivot, so a reduced vector that is not zero starts at a new
-    pivot. Rank needs no back-substitution. No floats, no modular step."""
+    pivot. Rank needs no back-substitution; `reduced` does it once for the
+    canonical RREF. This is the only row reduction of the package: `rref`,
+    `rank`, `nullspace`, `solve` and `Subspace` all read it. No floats, no
+    modular step."""
 
     __slots__ = ("pivots", "rows")
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.pivots = []  # ascending
         self.rows = {}  # pivot -> (columns, values), columns ascending
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def rank(self):
@@ -210,6 +195,39 @@ class RankTracker:
         insort(self.pivots, cols[0])
         rows[cols[0]] = (cols, [w[j] // g for j in cols])
         return True
+
+    def reduced(self):
+        """The canonical RREF of the span, one sparse row {column: coeff} per
+        pivot in pivot order.
+
+        Back-substitution from the last pivot up: a stored row is cleared at
+        each later pivot against that pivot's already reduced row, which is
+        zero at every other pivot, and then divided by its own pivot entry."""
+        out = {}
+        for c in reversed(self.pivots):
+            cols, vals = self.rows[c]
+            w = dict(zip(cols, vals))
+            for j, f in zip(cols[1:], vals[1:]):
+                red = out.get(j)
+                if red is not None:
+                    for k, x in red.items():
+                        w[k] = w.get(k, 0) - f * x
+            out[c] = {k: _as_num(Fraction(x, vals[0])) for k, x in sorted(w.items()) if x}
+        return [out[c] for c in self.pivots]
+
+    def kernel(self, ncols):
+        """Canonical basis, as RREF rows of length ncols, of the vectors x with
+        v @ x = 0 for every inserted vector v."""
+        red = self.reduced()
+        basis = []
+        for f in range(ncols):
+            if f not in self.rows:
+                v = [0] * ncols
+                v[f] = 1
+                for c, row in zip(self.pivots, red):
+                    v[c] = -row.get(f, 0)
+                basis.append(v)
+        return rref(basis)[0]
 
 
 # Miller-Rabin with the prime bases 2..41 is exact below this bound

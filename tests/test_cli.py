@@ -166,9 +166,51 @@ BAD_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("args", BAD_INPUTS + BAD_OPTIONS)
-def test_bad_ranks_and_degrees_exit_one_with_a_message(args):
-    res = CliRunner().invoke(main, list(args))
+class Document:
+    """An interchange document, written to a file where it stands in an argument list."""
+
+    M11 = sg.to_interchange(sg.m_hl_transpose(1, 1))
+
+    def __init__(self, name, **changes):
+        self.name, self.doc = name, {**self.M11, **changes}
+
+    def __repr__(self):
+        return self.name
+
+
+# M_{1,1} (dim 4) with one field broken, read by `dims --input`
+BAD_DOCUMENTS = [
+    ("dims", "--input", doc)
+    for doc in (
+        Document("zero_denominator", structure=[[0, 0, 0, "1/0"]]),
+        Document("coefficient_syntax", involution=[[0, 0, "one"]]),
+        Document("index_out_of_range", dim=1, labels=["a"], grading=[0],
+                 structure=[[0, 0, 5, "1/1"]], involution=[[0, 0, "1/1"]], wedderburn=None),
+        Document("negative_index", structure=[[-1, 0, 0, "1/1"]]),
+        Document("involution_index", involution=[[0, 4, "1/1"]]),
+        Document("wedderburn_index", wedderburn={"blocks": [{"indices": [0, 9]}], "radical": []}),
+        Document("labels_length", labels=["a"]),
+        Document("grading_bit", grading=[0, 2, 2, 0]),
+        Document("dim_type", dim="4"),
+    )
+]
+
+
+def materialize(args, directory):
+    """The argument list with each Document written to a file and replaced by its path."""
+    out = []
+    for a in args:
+        if isinstance(a, Document):
+            path = directory / f"{a.name}.json"
+            path.write_text(json.dumps(a.doc))
+            a = str(path)
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS + BAD_OPTIONS + BAD_DOCUMENTS)
+def test_bad_ranks_and_degrees_exit_one_with_a_message(args, tmp_path):
+    res = CliRunner().invoke(main, materialize(args, tmp_path))
     assert res.exit_code == 1
     assert res.output.startswith("error: ") and len(res.output.strip()) > len("error:")
 
@@ -198,9 +240,10 @@ def test_bad_input_messages_do_not_depend_on_asserts(optimize, tmp_path):
     flags = ["-O"] if optimize else []
     denominator = ("--mod-p", "5", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
     no_blocks = ("exponent", "--input", without_wedderburn(tmp_path))
-    for args in BAD_INPUTS[:3] + BAD_INPUTS[4:] + [BAD_OPTIONS[0], BAD_OPTIONS[2], denominator, no_blocks]:
+    probes = BAD_INPUTS[:3] + BAD_INPUTS[4:] + [BAD_OPTIONS[0], BAD_OPTIONS[2], denominator, no_blocks]
+    for args in probes + BAD_DOCUMENTS:
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "stargraded.cli", *args],
+            [sys.executable, *flags, "-m", "stargraded.cli", *materialize(args, tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 1, proc.stderr

@@ -4,6 +4,7 @@ closed forms, tag validation."""
 import pytest
 
 import stargraded as sg
+from stargraded.core import sparse_mul, sparse_star
 from stargraded.checks import DIMS_GRID, parse_family_token
 from stargraded.families import FamilyTag, validate_tag
 
@@ -35,38 +36,30 @@ def test_closed_forms_beyond_the_grid():
 def test_symplectic_star_squares_to_identity():
     A = sg.m_hh_symplectic(2)
     for k in range(A.dim):
-        v = [1 if i == k else 0 for i in range(A.dim)]
-        assert sg.star(A, sg.star(A, v)) == v
+        assert sparse_star(A, sparse_star(A, {k: 1})) == {k: 1}
 
 
 def test_exchange_families_swap_summands():
     A = sg.m_hl_exchange(1, 0)
     assert A.dim == 2
-    v = [1, 0]
-    assert sg.star(A, v) == [0, 1]
+    assert sparse_star(A, {0: 1}) == {1: 1}
 
 
 def test_central_element_is_really_central():
     A = sg.mn_cmn(2, "t", "-")
-    c = [0] * A.dim
-    c[4] = c[7] = 1
-
+    c = {4: 1, 7: 1}
     for k in range(A.dim):
-        v = [1 if i == k else 0 for i in range(A.dim)]
-        assert sg.multiply(A, c, v) == sg.multiply(A, v, c)
-    identity = [0] * A.dim
-    identity[0] = identity[3] = 1
-    assert sg.multiply(A, c, c) == identity
+        assert sparse_mul(A, c, {k: 1}) == sparse_mul(A, {k: 1}, c)
+    assert sparse_mul(A, c, c) == {0: 1, 3: 1}
 
 
 def test_dagger_and_star_differ_only_on_the_central_part():
     minus = sg.mn_cmn(2, "t", "-")
     plus = sg.mn_cmn(2, "t", "+")
     k = 4
-    v = [1 if i == k else 0 for i in range(minus.dim)]
-    sm = sg.star(minus, v)
-    sp = sg.star(plus, v)
-    assert sm == [-x for x in sp]
+    sm = sparse_star(minus, {k: 1})
+    sp = sparse_star(plus, {k: 1})
+    assert sm and sm == {r: -x for r, x in sp.items()}
 
 
 def test_tag_validation_rejects_bad_parameters():

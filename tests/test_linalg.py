@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: ranks, solving, subspaces, rank trackers."""
+"""Exact rational linear algebra: ranks, solving, subspaces, rank trackers, and
+the integer elimination against the dense Fraction Gauss-Jordan it replaced."""
 
 from fractions import Fraction
 
@@ -6,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stargraded as sg
+from stargraded import core
+from stargraded.checks import DIMS_GRID, parse_algebra_spec
 from stargraded.linalg import (
     RankTracker,
     RankTrackerModP,
     Subspace,
     PRIME_TEST_BOUND,
+    _as_num,
     coordinate_span,
     is_prime,
     mat_mul,
@@ -20,6 +25,61 @@ from stargraded.linalg import (
     rref,
     solve,
 )
+
+
+def reference_rref(rows):
+    """The dense Fraction Gauss-Jordan that rref() used before it read RankTracker."""
+    m = [[_as_num(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        # entries are already normalized by _as_num, so zeros pass through unchanged
+        if pv != 1:
+            m[r] = [_as_num(Fraction(x, 1) / pv) if x else 0 for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [_as_num(a - f * b) if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    """nullspace() on the reference reduction."""
+    if rows:
+        ncols = len(rows[0])
+    red, pivots = reference_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f]
+        basis.append(v)
+    return reference_rref(basis)[0]
+
+
+def reference_solve(rows, rhs):
+    """solve() on the reference reduction."""
+    red, pivots = reference_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    n = len(rows[0]) if rows else 0
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = Fraction(red[i][-1])
+    return [_as_num(v) for v in x]
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -128,7 +188,102 @@ def rational_low_rank(draw):
 def test_rank_tracker_with_fractions_matches_rref(rows):
     tr = RankTracker()
     grew = sum(1 for r in rows if tr.add(r))
-    assert tr.rank == len(rref(rows)[0]) == grew
+    assert tr.rank == len(reference_rref(rows)[0]) == grew
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Empty, wide, tall, zero-row and rank-deficient matrices over Q with
+    mixed denominators, and a right-hand side that is consistent or random."""
+    kind = draw(st.sampled_from(["empty", "random", "low_rank", "with_zero_rows"]))
+    m = draw(st.integers(0, 8))
+    if kind == "empty":
+        rows = []
+    elif kind == "low_rank":
+        rows = draw(rational_low_rank())
+        m = len(rows[0])
+    else:
+        rows = draw(st.lists(st.lists(fractions, min_size=m, max_size=m), min_size=1, max_size=8))
+        if kind == "with_zero_rows":
+            for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+                rows[i] = [0] * m
+    if draw(st.booleans()):
+        x = draw(st.lists(fractions, min_size=m, max_size=m))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(fractions, min_size=len(rows), max_size=len(rows)))
+    return rows, m, rhs
+
+
+@given(shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_the_dense_reference(case):
+    rows, m, rhs = case
+    red, pivots = rref(rows)
+    assert (red, pivots) == reference_rref(rows)
+    assert all(type(x) is int or x.denominator != 1 for r in red for x in r)
+    assert rank(rows) == len(pivots)
+    assert nullspace(rows, m) == reference_nullspace(rows, m)
+    assert solve(rows, rhs) == reference_solve(rows, rhs)
+    S = Subspace(m, rows)
+    assert list(S.basis) == [tuple(r) for r in red]
+    assert S.sparse_basis == tuple({j: x for j, x in enumerate(r) if x} for r in red)
+
+
+GRID_AND_GLUEINGS = [s for s, _ in DIMS_GRID] + [
+    "one_sided[m_hl_transpose:1,1]",
+    "tensor[m_hl_transpose:1,1|noncommutative_nilpotent]",
+    "m_hl_transpose:1,1+commutative_nilpotent:2",
+]
+
+
+@pytest.mark.parametrize("spec", GRID_AND_GLUEINGS)
+def test_component_and_radical_bases_match_the_dense_reference(spec):
+    A = parse_algebra_spec(spec)
+    d = A.dim
+    comp = sg.hom_components(A)
+    for g, sign, kind in ((0, 1, "y+"), (0, -1, "y-"), (1, 1, "z+"), (1, -1, "z-")):
+        vecs = []
+        for k in (k for k in range(d) if A.grading[k] == g):
+            v = [0] * d
+            v[k] = 1
+            for r, x in A.star_sparse(k).items():
+                v[r] += sign * x
+            vecs.append(v)
+        assert comp.by_kind(kind).basis == tuple(tuple(r) for r in reference_rref(vecs)[0])
+    # the trace-form Gram matrix of jacobson_radical, reduced the old way
+    T = core._left_trace_weights(A)
+    G = [[0] * (d + 1) for _ in range(d + 1)]
+    for (i, j), row in A.structure.items():
+        G[i][j] = _as_num(sum(c * T[k] for k, c in row.items()))
+    for i in range(d):
+        G[i][d] = G[d][i] = T[i]
+    G[d][d] = d + 1
+    kernel = [v[:d] for v in reference_nullspace(G, d + 1)]
+    assert sg.jacobson_radical(A).basis == tuple(tuple(r) for r in reference_rref(kernel)[0])
+
+
+def test_reduced_rows_are_the_canonical_rref():
+    tr = RankTracker()
+    for r in ([0, 2, 4, 0], [1, 0, 0, 3], [1, 1, 2, 3], [3, Fraction(1, 2), 1, 9]):
+        tr.add(r)
+    assert tr.reduced() == [{0: 1, 3: 3}, {1: 1, 2: 2}]
+    assert tr.kernel(4) == [[1, 0, 0, Fraction(-1, 3)], [0, 1, Fraction(-1, 2), 0]]
+
+
+def test_bad_shapes_raise_value_errors():
+    with pytest.raises(ValueError, match="needs ncols"):
+        nullspace([])
+    with pytest.raises(ValueError, match="length 1"):
+        mat_vec([[1, 2]], [1])
+    with pytest.raises(ValueError, match="length 2 where 3"):
+        Subspace(3, [[1, 2]])
+    with pytest.raises(ValueError, match="outside range"):
+        Subspace(2, [{2: 1}])
+    with pytest.raises(ValueError, match="F\\^3"):
+        Subspace(3).contains([1, 0])
+    with pytest.raises(ValueError, match="F\\^2 and F\\^3"):
+        Subspace(2).add(Subspace(3))
 
 
 def test_rank_tracker_rows_are_primitive_echelon():
@@ -174,7 +329,8 @@ def test_subspace_operations():
     assert u.dim == v.dim == 2
     assert u.add(v).dim == 3
     assert u.contains([0, 5, 0]) and v.contains([0, 5, 0])
-    assert u.add(v).contains_subspace(u) and not u.contains_subspace(v)
+    assert all(u.add(v).contains(r) for r in u.sparse_basis)
+    assert not all(u.contains(r) for r in v.sparse_basis)
     assert not u.contains([0, 0, 1])
     assert Subspace(3).is_zero()
 

@@ -170,6 +170,7 @@ M11_PLANTED = [
     ([[1, 1, 1, 0]], "not grading-stable"),  # e11 + e12 + e21
     ([[1, 0, 0, 1]], "not a left ideal"),  # the unit
     ([[1 if r == c else 0 for c in range(4)] for r in range(4)], "not nilpotent"),  # all of M_{1,1}
+    ([[1, 0, 0, 0], [0, 0, 1, 0]], "not a right ideal"),  # e11, e21: a left ideal; e11 e12 = e12
 ]
 
 
@@ -227,3 +228,22 @@ def test_validate_cost_follows_the_nonzero_products(monkeypatch):
     assert reference_validate(A) == []
     assert calls[0] > 2 * 41**3
 
+
+
+def test_radical_ideal_checks_make_no_products(monkeypatch):
+    # the ideal checks sum e_i v and v e_i from the structure table; the 576 calls
+    # are the 24 x 24 products of J^2 in the nilpotency check, where calling
+    # sparse_mul once per basis element and side added 2 * 41 * 24 = 1968 more
+    A = sg.ut_star(parse_ut_spec("mn_cmn_star:2,t+m_hl_transpose:2,1", ""))
+    J = sg.jacobson_radical(A)
+    assert (A.dim, J.dim) == (41, 24)
+    calls = [0]
+    mul = core.sparse_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(core, "sparse_mul", counted)
+    core._verify_radical(A, J)
+    assert calls[0] == 24 * 24
