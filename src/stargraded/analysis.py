@@ -314,8 +314,6 @@ def _generic_identity(A, p, config):
     grouped = set()
     choices = []
     for g in p.alt_groups:
-        kind_set = {p.slot_kinds[s] for s in g}
-        assert len(kind_set) == 1, "alternating group mixes slot kinds"
         dom = domains[g[0]]
         if len(dom) < len(g):
             continue

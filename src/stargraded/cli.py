@@ -69,7 +69,7 @@ def guarded(f):
         except InternalInconsistencyError as e:
             click.echo(f"internal inconsistency: {e}", err=True)
             sys.exit(3)
-        except (ValueError, AssertionError, KeyError, OSError, json.JSONDecodeError) as e:
+        except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(1)
 

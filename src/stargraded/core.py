@@ -67,7 +67,8 @@ def _coeff(c):
 
 class StarSuperAlgebra:
     """Finite-dimensional superalgebra over Q given by structure constants, a 0/1
-    grading on the basis, and an involution matrix (column k = image of basis k)."""
+    grading on the basis, and an involution given as triples (r, k, c): the
+    star image of basis k has coefficient c on basis r."""
 
     def __init__(self, dim, labels, structure, grading, involution, wedderburn=None, layout=None):
         if len(labels) != dim or len(grading) != dim:
@@ -78,22 +79,23 @@ class StarSuperAlgebra:
         table = {}
         for i, j, k, c in structure:
             _check_indices(dim, i, j, k)
-            c = _coeff(c)
-            if c != 0:
-                row = table.setdefault((i, j), {})
-                row[k] = _as_num(row.get(k, 0) + c)
+            row = table.setdefault((i, j), {})
+            row[k] = _as_num(row.get(k, 0) + _coeff(c))
+        # a later involution entry for the same (r, k) replaces an earlier one
+        columns = [{} for _ in range(dim)]
+        for r, k, c in involution:
+            _check_indices(dim, r, k)
+            columns[k][r] = _coeff(c)
         self.dim = dim
         self.labels = tuple(labels)
-        self.structure = {ij: {k: c for k, c in row.items() if c != 0} for ij, row in table.items()}
-        self.structure = {ij: row for ij, row in self.structure.items() if row}
+        self.structure = {
+            ij: nonzero for ij, row in table.items() if (nonzero := {k: c for k, c in row.items() if c != 0})
+        }
         self.grading = tuple(int(g) for g in grading)
-        self.involution = tuple(tuple(_as_num(x) for x in row) for row in involution)
-        if len(self.involution) != dim or any(len(r) != dim for r in self.involution):
-            raise ValueError(f"the involution is not a {dim} x {dim} matrix")
+        self._star = tuple({r: c for r, c in col.items() if c != 0} for col in columns)
         self.wedderburn = wedderburn
         self.layout = layout
         self._pairs = None
-        self._star_sparse = None
         self._hom = None
         self._radical = None
         self._kind_bases = {}
@@ -114,12 +116,7 @@ class StarSuperAlgebra:
 
     def star_sparse(self, k):
         """Image of basis k under the involution, as a sparse dict."""
-        if self._star_sparse is None:
-            self._star_sparse = [
-                {r: self.involution[r][k] for r in range(self.dim) if self.involution[r][k] != 0}
-                for k in range(self.dim)
-            ]
-        return self._star_sparse[k]
+        return self._star[k]
 
     def __repr__(self):
         return f"StarSuperAlgebra(dim={self.dim})"
@@ -578,13 +575,8 @@ def direct_sum(A, B, label_prefixes=("l.", "r.")):
     structure += [
         (i + dA, j + dA, k + dA, c) for (i, j), row in B.structure.items() for k, c in row.items()
     ]
-    inv = [[0] * (dA + B.dim) for _ in range(dA + B.dim)]
-    for r in range(dA):
-        for c in range(dA):
-            inv[r][c] = A.involution[r][c]
-    for r in range(B.dim):
-        for c in range(B.dim):
-            inv[r + dA][c + dA] = B.involution[r][c]
+    inv = [(r, k, c) for k in range(dA) for r, c in A.star_sparse(k).items()]
+    inv += [(r + dA, k + dA, c) for k in range(B.dim) for r, c in B.star_sparse(k).items()]
     wed = None
     if A.wedderburn is not None and B.wedderburn is not None:
         blocks = list(A.wedderburn.blocks) + [
@@ -613,12 +605,7 @@ def to_interchange(A):
     structure = sorted(
         (i, j, k, _frac_str(c)) for (i, j), row in A.structure.items() for k, c in row.items()
     )
-    involution = [
-        [r, c, _frac_str(A.involution[r][c])]
-        for r in range(A.dim)
-        for c in range(A.dim)
-        if A.involution[r][c] != 0
-    ]
+    involution = sorted([r, k, _frac_str(c)] for k in range(A.dim) for r, c in A.star_sparse(k).items())
     doc = {
         "dim": A.dim,
         "labels": list(A.labels),
@@ -638,17 +625,34 @@ def to_interchange(A):
 
 
 def from_interchange(doc):
-    """Rebuild an algebra from an interchange document."""
+    """Rebuild an algebra from an interchange document; a document of the wrong
+    shape is refused with a ValueError that names the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"an interchange document is a JSON object, not {type(doc).__name__}")
+    missing = [key for key in ("dim", "labels", "structure", "grading", "involution") if key not in doc]
+    if missing:
+        raise ValueError(f"the interchange document has no {', '.join(missing)}")
     dim = doc["dim"]
     if type(dim) is not int or dim < 0:
         raise ValueError(f"dim must be a nonnegative integer, not {dim!r}")
-    inv = [[0] * dim for _ in range(dim)]
-    for r, c, val in doc["involution"]:
-        _check_indices(dim, r, c)
-        inv[r][c] = _coeff(val)
+    for key in ("labels", "grading", "structure", "involution"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list, not {type(doc[key]).__name__}")
+    for key, arity in (("structure", 4), ("involution", 3)):
+        for e in doc[key]:
+            if not isinstance(e, list) or len(e) != arity:
+                raise ValueError(f"{key} entry {e!r} is not a list of {arity} items")
     wed = None
-    if "wedderburn" in doc and doc["wedderburn"] is not None:
+    if doc.get("wedderburn") is not None:
         w = doc["wedderburn"]
+        if not (
+            isinstance(w, dict)
+            and isinstance(w.get("radical"), list)
+            and isinstance(w.get("blocks"), list)
+            and all(isinstance(b, dict) and isinstance(b.get("indices"), list) for b in w["blocks"])
+            and all(isinstance(b.get("params", []), list) for b in w["blocks"])
+        ):
+            raise ValueError("wedderburn must hold a list radical and a list of blocks, each with a list of indices")
         _check_indices(dim, *w["radical"], *(t for b in w["blocks"] for t in b["indices"]))
         wed = WedderburnData(
             tuple(
@@ -657,7 +661,9 @@ def from_interchange(doc):
             ),
             tuple(w["radical"]),
         )
-    return StarSuperAlgebra(dim, doc["labels"], doc["structure"], doc["grading"], inv, wedderburn=wed)
+    return StarSuperAlgebra(
+        dim, doc["labels"], doc["structure"], doc["grading"], doc["involution"], wedderburn=wed
+    )
 
 
 def save_algebra(A, path):

@@ -34,19 +34,14 @@ def commutative_nilpotent(k=1):
     if type(k) is not int or k < 1:
         raise ValueError(f"commutative_nilpotent needs an integer k >= 1, got {k!r}")
     labels = [f"n{i + 1}" for i in range(k)]
-    return nilpotent_algebra(k, labels, [], [[1 if i == j else 0 for j in range(k)] for i in range(k)])
+    return nilpotent_algebra(k, labels, [], [(i, i, 1) for i in range(k)])
 
 
 def noncommutative_nilpotent():
     """Two self-adjoint generators with nonzero products both ways, cube zero."""
     labels = ["n1", "n2", "n1n2", "n2n1"]
     structure = [(0, 1, 2, 1), (1, 0, 3, 1)]
-    involution = [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
+    involution = [(0, 0, 1), (1, 1, 1), (3, 2, 1), (2, 3, 1)]
     return nilpotent_algebra(4, labels, structure, involution)
 
 
@@ -69,14 +64,10 @@ def one_sided_radical_extension(A):
             structure.append((i, j, k, c))
             structure.append((i, d + j, d + k, c))
             structure.append((2 * d + i, j, 2 * d + k, c))
-    involution = [[0] * (3 * d) for _ in range(3 * d)]
+    involution = []
     for k in range(d):
-        for r in range(d):
-            c = A.involution[r][k]
-            if c:
-                involution[r][k] = c
-                involution[2 * d + r][d + k] = c
-                involution[d + r][2 * d + k] = c
+        for r, c in A.star_sparse(k).items():
+            involution += [(r, k, c), (2 * d + r, d + k, c), (d + r, 2 * d + k, c)]
     labels = list(A.labels) + [f"v.{s}" for s in A.labels] + [f"w.{s}" for s in A.labels]
     grading = list(A.grading) * 3
     family = A.wedderburn.blocks[0].family if A.wedderburn and A.wedderburn.blocks else None
@@ -119,18 +110,13 @@ def tensor_nilpotent_extension(A, N):
                 for k, c in row.items():
                     for jk, cn in factor.items():
                         structure.append((idx(j, i), idx(l, i2), idx(jk, k), c * cn))
-    involution = [[0] * dim for _ in range(dim)]
+    involution = []
     for k in range(d):
-        for r in range(d):
-            c = A.involution[r][k]
-            if not c:
-                continue
-            involution[idx(0, r)][idx(0, k)] = c
+        for r, c in A.star_sparse(k).items():
+            involution.append((idx(0, r), idx(0, k), c))
             for j in range(1, dn + 1):
-                for rn in range(dn):
-                    cn = N.involution[rn][j - 1]
-                    if cn:
-                        involution[idx(rn + 1, r)][idx(j, k)] = c * cn
+                for rn, cn in N.star_sparse(j - 1).items():
+                    involution.append((idx(rn + 1, r), idx(j, k), c * cn))
     labels = list(A.labels) + [f"{s}@{t}" for t in N.labels for s in A.labels]
     grading = list(A.grading) * (dn + 1)
     family = A.wedderburn.blocks[0].family if A.wedderburn and A.wedderburn.blocks else None

@@ -77,27 +77,19 @@ def _matrix_structure(n):
     ]
 
 
-def _star_images(n, diamond):
-    """Unit index -> (unit index, sign) of its image under the transpose
-    (diamond "t") or the symplectic (diamond "s") involution of M_n."""
+def _matrix_star(n, diamond):
+    """Involution triples (r, k, c) of the transpose (diamond "t") or the
+    symplectic (diamond "s") involution of M_n: e_k* = c e_r on the units."""
     if diamond == "t":
-        return {_unit_idx(n, i, j): (_unit_idx(n, j, i), 1) for i in range(n) for j in range(n)}
+        return [(_unit_idx(n, j, i), _unit_idx(n, i, j), 1) for i in range(n) for j in range(n)]
     # star(X) = Omega X^t Omega^{-1} with Omega = [[0, I],[-I, 0]] in half-blocks:
     # swap the half-blocks, transpose, and negate the off-diagonal half-blocks
     h = n // 2
-    return {
-        _unit_idx(n, i, j): (_unit_idx(n, (j + h) % n, (i + h) % n), (-1) ** ((i < h) != (j < h)))
+    return [
+        (_unit_idx(n, (j + h) % n, (i + h) % n), _unit_idx(n, i, j), (-1) ** ((i < h) != (j < h)))
         for i in range(n)
         for j in range(n)
-    }
-
-
-def _involution(dim, images):
-    # images: basis index -> (basis index, coeff) of its image
-    inv = [[0] * dim for _ in range(dim)]
-    for k, (r, c) in images.items():
-        inv[r][k] = c
-    return inv
+    ]
 
 
 def _one_block(dim, tag):
@@ -117,7 +109,7 @@ def _matrix_family(tag, n, h, diamond):
         _unit_labels(n),
         _matrix_structure(n),
         _block_grading(n, h),
-        _involution(n * n, _star_images(n, diamond)),
+        _matrix_star(n, diamond),
         wedderburn=_one_block(n * n, tag),
     )
 
@@ -138,14 +130,13 @@ def exchange(B, tag):
     d = B.dim
     structure = [(i, j, k, c) for (i, j), row in B.structure.items() for k, c in row.items()]
     structure += [(d + j, d + i, d + k, c) for i, j, k, c in structure]
-    images = {k: (d + k, 1) for k in range(d)}
-    images.update({d + k: (k, 1) for k in range(d)})
+    involution = [(d + k, k, 1) for k in range(d)] + [(k, d + k, 1) for k in range(d)]
     return StarSuperAlgebra(
         2 * d,
         list(B.labels) + ["op." + s for s in B.labels],
         structure,
         list(B.grading) * 2,
-        _involution(2 * d, images),
+        involution,
         wedderburn=_one_block(2 * d, tag),
     )
 
@@ -168,16 +159,14 @@ def mn_cmn(n, diamond, sign):
         structure += [(a, b, c0, 1), (a, nn + b, nn + c0, 1)]
         structure += [(nn + a, b, nn + c0, 1), (nn + a, nn + b, c0, 1)]
     s = 1 if sign == "+" else -1
-    images = {}
-    for k, (r, c) in _star_images(n, diamond).items():
-        images[k] = (r, c)
-        images[nn + k] = (nn + r, s * c)
+    star = _matrix_star(n, diamond)
+    involution = star + [(nn + r, nn + k, s * c) for r, k, c in star]
     return StarSuperAlgebra(
         2 * nn,
         _unit_labels(n) + _unit_labels(n, "c*"),
         structure,
         [0] * nn + [1] * nn,
-        _involution(2 * nn, images),
+        involution,
         wedderburn=_one_block(2 * nn, tag),
     )
 

@@ -82,25 +82,24 @@ def coordinate_span(ambient_dim, indices):
 class Subspace:
     """A linear subspace of F^ambient_dim held as a canonical RREF basis.
 
-    `sparse_basis` holds the reduced rows as sparse dicts, `pivots` maps each
-    pivot column to its row there, and `basis` holds the same rows dense.
-    Spanning rows may be coordinate sequences or sparse dicts."""
+    `sparse_basis` holds the reduced rows as sparse dicts and `pivots` maps
+    each pivot column to its row there. Spanning rows may be coordinate
+    sequences or sparse dicts."""
 
-    __slots__ = ("ambient_dim", "basis", "sparse_basis", "pivots")
+    __slots__ = ("ambient_dim", "sparse_basis", "pivots")
 
     def __init__(self, ambient_dim, basis_rows=()):
         tr = RankTracker(_dense(r, ambient_dim) for r in basis_rows)
         self.ambient_dim = ambient_dim
         self.sparse_basis = tuple(tr.reduced())
         self.pivots = dict(zip(tr.pivots, self.sparse_basis))
-        self.basis = tuple(tuple(_dense(r, ambient_dim)) for r in self.sparse_basis)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.sparse_basis)
 
     def is_zero(self):
-        return not self.basis
+        return not self.sparse_basis
 
     def contains(self, v):
         """Membership of a coordinate sequence, or of a sparse dict {index: coeff}.
@@ -128,11 +127,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.sparse_basis == other.sparse_basis
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.sparse_basis)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"

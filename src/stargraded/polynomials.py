@@ -52,6 +52,12 @@ class MultilinearPoly:
         self.slot_kinds = tuple(slot_kinds)
         self._terms = terms
         self.alt_groups = tuple(alt_groups)
+        n = len(self.slot_kinds)
+        for g in self.alt_groups:
+            if not g or any(not isinstance(s, int) or not 0 <= s < n for s in g):
+                raise ValueError(f"alternating group {g!r} is empty or has a slot outside range({n})")
+            if len({self.slot_kinds[s] for s in g}) != 1:
+                raise ValueError(f"alternating group {g!r} mixes slot kinds")
         self.shape = shape
 
     @property

@@ -108,7 +108,7 @@ def _component_images(tag, comp):
     b_side = []
     for k in range(comp.dim):
         ent = {}
-        for r, c in _star_column(comp, k).items():
+        for r, c in comp.star_sparse(k).items():
             for pos, v in a_side[r].items():
                 ent[pos] = ent.get(pos, 0) + c * v
         b_side.append(_local_gamma(s, {p: v for p, v in ent.items() if v}))
@@ -117,15 +117,6 @@ def _component_images(tag, comp):
     if not all(a or b for a, b in zip(a_side, b_side)):
         raise InternalInconsistencyError("component basis element maps to zero")
     return a_side, b_side
-
-
-def _star_column(comp, k):
-    out = {}
-    for r in range(comp.dim):
-        c = comp.involution[r][k]
-        if c:
-            out[r] = c
-    return out
 
 
 def ut_star(spec):
@@ -235,11 +226,10 @@ def ut_star(spec):
             for t, lam in decompose(prod).items():
                 structure.append((a, b, t, lam))
 
-    involution = [[0] * dim for _ in range(dim)]
+    involution = []
     for t, mat in enumerate(basis_mats):
         flipped = {(N - 1 - c, N - 1 - r): v for (r, c), v in mat.items()}
-        for r, lam in decompose(flipped).items():
-            involution[r][t] = lam
+        involution += [(r, t, lam) for r, lam in decompose(flipped).items()]
 
     blocks = tuple(
         WedderburnBlock(block_index_ranges[k], tags[k].name, tags[k].params) for k in range(m)
@@ -276,7 +266,7 @@ def _verify_ut(A, comps, block_index_ranges, radical):
             star = A.star_sparse(idx[t])
             if not star.keys() <= back.keys():
                 raise InternalInconsistencyError("component star leaves the component")
-            if {back[g]: c for g, c in star.items()} != _star_column(comp, t):
+            if {back[g]: c for g, c in star.items()} != comp.star_sparse(t):
                 raise InternalInconsistencyError(f"component {k} star differs at {t}")
         for a in range(comp.dim):
             for b in range(comp.dim):

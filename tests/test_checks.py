@@ -122,3 +122,33 @@ GRID_DOC_SHA256 = {
 def test_grid_interchange_documents_are_pinned(spec):
     doc = json.dumps(sg.to_interchange(parse_algebra_spec(spec)), indent=1) + "\n"
     assert hashlib.sha256(doc.encode()).hexdigest() == GRID_DOC_SHA256[spec]
+
+
+# sha256 of the `build SPEC` document of each construction that assembles an
+# involution from other algebras': direct sum, both extensions, a nilpotent factor
+CONSTRUCTION_DOC_SHA256 = {
+    "m_hl_transpose:1,1+mn_cmn_star:1,t": "2194f875ccde009a114a0bd7a9f25e06667777bbb50c12ac0e12e496d6765d2c",
+    "one_sided[m_hl_transpose:1,1]": "ed4448689c61688238c354bbad515bfd1f84ee8c8ace2aba88ca5779cca885a2",
+    "tensor[m_hl_transpose:1,1|noncommutative_nilpotent]": "823833fa3b41eb75e3bae1709ab02455e5be5a84ad673d8503776e1a60eb120b",
+    "tensor[mn_cmn_star:1,t|commutative_nilpotent:2]": "a4a6d30028eb82f4f873dfbcf746f14f26fba645e647a36c48620c368cf38009",
+    "commutative_nilpotent:2": "ce3ac286ed1db56591e419fa2d67b7e2dbfc338b45db6f7aa10a30037e023361",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CONSTRUCTION_DOC_SHA256))
+def test_construction_interchange_documents_are_pinned(spec):
+    doc = json.dumps(sg.to_interchange(parse_algebra_spec(spec)), indent=1) + "\n"
+    assert hashlib.sha256(doc.encode()).hexdigest() == CONSTRUCTION_DOC_SHA256[spec]
+
+
+# sha256 of the `ut --components C` document of two glueings
+UT_DOC_SHA256 = {
+    "m_hl_transpose:1,1+m_hl_transpose:1,1": "fbdb08f5397ecd5ce72a5d9d7804cb249bed2c34b18bd38f549cc91b5a9963a1",
+    "mn_cmn_star:2,t+m_hl_transpose:2,1": "1f9d6a790c730ee1456a372ad749eb447144f15b3548c3f99a0de997dd93bfb1",
+}
+
+
+@pytest.mark.parametrize("components", sorted(UT_DOC_SHA256))
+def test_ut_interchange_documents_are_pinned(components):
+    doc = json.dumps(sg.to_interchange(sg.ut_star(parse_ut_spec(components, ""))), indent=1) + "\n"
+    assert hashlib.sha256(doc.encode()).hexdigest() == UT_DOC_SHA256[components]

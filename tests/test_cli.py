@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import core
@@ -171,8 +173,8 @@ class Document:
 
     M11 = sg.to_interchange(sg.m_hl_transpose(1, 1))
 
-    def __init__(self, name, **changes):
-        self.name, self.doc = name, {**self.M11, **changes}
+    def __init__(self, name, doc=None, /, **changes):
+        self.name, self.doc = name, {**self.M11, **changes} if doc is None else doc
 
     def __repr__(self):
         return self.name
@@ -192,6 +194,12 @@ BAD_DOCUMENTS = [
         Document("labels_length", labels=["a"]),
         Document("grading_bit", grading=[0, 2, 2, 0]),
         Document("dim_type", dim="4"),
+        Document("not_an_object", [1]),
+        Document("missing_key", {k: v for k, v in Document.M11.items() if k != "involution"}),
+        Document("involution_type", involution=5),
+        Document("structure_arity", structure=[[0, 0, 0]]),
+        Document("involution_arity", involution=[[0, 0, "1/1", 1]]),
+        Document("structure_entry_type", structure=[5]),
     )
 ]
 
@@ -213,6 +221,60 @@ def test_bad_ranks_and_degrees_exit_one_with_a_message(args, tmp_path):
     res = CliRunner().invoke(main, materialize(args, tmp_path))
     assert res.exit_code == 1
     assert res.output.startswith("error: ") and len(res.output.strip()) > len("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["1/0", "-3/2", "1/1", "x/2", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+FUZZ_BASES = [sg.to_interchange(sg.m_hl_transpose(1, 1)), sg.to_interchange(sg.noncommutative_nilpotent())]
+
+
+def positions(node):
+    """Every (container, key) position inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from positions(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three fields deleted, replaced by another
+    JSON value (a type swap, an out-of-range index or a bad coefficient), or
+    lengthened or shortened by one item."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(positions(doc))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        op = draw(st.sampled_from(["delete", "replace", "grow", "shrink"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "replace":
+            parent[key] = draw(JSON_VALUES)
+        elif isinstance(parent[key], list):
+            if op == "grow":
+                parent[key].append(draw(JSON_VALUES))
+            elif parent[key]:
+                parent[key].pop()
+    if draw(st.integers(0, 19)) == 0:
+        doc = draw(JSON_VALUES)
+    return doc
+
+
+@given(mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_exit_cleanly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["dims", "--input", str(path)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exit_code == 0 or res.output.strip()
 
 
 def scaled_m11(tmp_path, coeff):

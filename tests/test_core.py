@@ -28,9 +28,16 @@ def test_validate_catches_broken_associativity():
         labels=("a", "b"),
         structure=[(0, 0, 1, 1), (0, 1, 0, 1)],
         grading=(0, 0),
-        involution=((1, 0), (0, 1)),
+        involution=[(0, 0, 1), (1, 1, 1)],
     )
     assert any("associat" in p for p in sg.validate(bad))
+
+
+def test_involution_triples_keep_the_last_entry_and_drop_zeros():
+    A = StarSuperAlgebra(2, ("a", "b"), [], (0, 0), [(1, 0, 5), (0, 0, 1), (1, 0, 0), (1, 1, "1/1"), (0, 1, 0)])
+    assert [A.star_sparse(k) for k in range(2)] == [{0: 1}, {1: 1}]
+    with pytest.raises(ValueError, match="outside range"):
+        StarSuperAlgebra(2, ("a", "b"), [], (0, 0), [(0, 2, 1)])
 
 
 def test_validate_catches_non_involutive_star(m2):
@@ -129,7 +136,7 @@ def test_interchange_round_trip(ut2):
     assert back.dim == ut2.dim
     assert back.labels == ut2.labels
     assert back.grading == ut2.grading
-    assert back.involution == ut2.involution
+    assert [back.star_sparse(k) for k in range(back.dim)] == [ut2.star_sparse(k) for k in range(ut2.dim)]
     assert sg.to_interchange(back) == doc
 
 
@@ -159,8 +166,7 @@ def reference_peirce(A):
     for p in (0, 1):
         for q in (0, 1):
             cols = []
-            for v in J.basis:
-                sv = core.to_sparse(v)
+            for sv in J.sparse_basis:
                 lv, rv = sparse_mul(A, e, sv), sparse_mul(A, sv, e)
                 col = ([lv.get(r, 0) - p * sv.get(r, 0) for r in range(A.dim)]
                        + [rv.get(r, 0) - q * sv.get(r, 0) for r in range(A.dim)])

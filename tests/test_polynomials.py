@@ -4,6 +4,7 @@ import random
 from itertools import permutations
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,19 @@ def test_capelli_member_shape():
     assert p.terms[(0, 3, 1, 4, 2)] == 1
     assert p.terms[(1, 3, 0, 4, 2)] == -1
     assert p.alt_groups == ((0, 1, 2),)
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [([(0, 1)], "mixes slot kinds"), ([(0, 2)], "outside range"), ([(-1, 0)], "outside range"), ([()], "empty")],
+)
+def test_alternating_groups_are_checked_on_construction(groups, message):
+    terms = {(0, 1): 1, (1, 0): -1}
+    with pytest.raises(ValueError, match=message):
+        sg.MultilinearPoly(("y+", "z+"), terms, alt_groups=groups)
+    # the same polynomial with one kind is accepted and decided
+    p = sg.MultilinearPoly(("y+", "y+"), terms, alt_groups=[(0, 1)])
+    assert sg.is_graded_identity(sg.m_hl_transpose(1, 1), p).is_identity
 
 
 def test_capelli_member_with_deletions():
