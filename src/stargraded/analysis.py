@@ -4,7 +4,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from operator import itemgetter
 
 from .core import (
@@ -16,7 +16,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
-from .linalg import RankTracker, RankTrackerModP, _as_num, coordinate_span, is_prime
+from .linalg import RankTracker, RankTrackerModP, coordinate_span, is_prime
 from .polynomials import (
     ANY,
     KINDS,
@@ -442,21 +442,35 @@ def threshold_offsets(spec, config=DEFAULT_CONFIG):
 
 
 def _word_values(A, vecs):
-    """Left-to-right products over all permutations of vecs, lex order, sparse."""
+    """Left-to-right products over all permutations of vecs, lex order, sparse.
+
+    Where a remaining slot holds the same object as the remaining slot just
+    before it, taking either one first leaves the same sequence of vectors, so
+    its block of words is a copy of the previous block and is not multiplied
+    again. Only adjacent slots share a block: removing one of two equal but
+    separated vectors leaves two different sequences. Equal words may be one
+    shared dict, so callers must not mutate them."""
     n = len(vecs)
     out = [None] * factorial(n)
 
     def rec(prefix, remaining, pos):
         block = factorial(len(remaining) - 1)
+        prev = None
         for a, t in enumerate(remaining):
-            child = vecs[t] if prefix is None else sparse_mul(A, prefix, vecs[t])
+            lo = pos + a * block
+            v = vecs[t]
+            if v is prev:
+                out[lo : lo + block] = out[lo - block : lo]
+                continue
+            prev = v
+            child = v if prefix is None else sparse_mul(A, prefix, v)
             if not child:
                 continue
             rest = remaining[:a] + remaining[a + 1 :]
             if rest:
-                rec(child, rest, pos + a * block)
+                rec(child, rest, lo)
             else:
-                out[pos + a * block] = child
+                out[lo] = child
 
     rec(None, tuple(range(n)), 0)
     return [w if w is not None else {} for w in out]
@@ -513,7 +527,7 @@ def _orbit_columns(A, domains):
         support = sorted({r for w in words for r in w})
         if not support:
             continue
-        cols = [tuple(_as_num(w.get(r, 0)) for w in words) for r in support]
+        cols = [tuple(w.get(r, 0) for w in words) for r in support]
         for pis in product(*(_rearrangements(idx) for idx in rep)):
             tau = list(identity)
             for (_, slots), pi in zip(groups, pis):
@@ -541,7 +555,13 @@ def _assignment_rank(A, domains, config, primes):
     entries reindexed (_orbit_columns). Every assignment is a o tau for exactly
     one representative a, so the column set is that of the plain enumeration
     of all assignments; only the order differs. Repeated columns are dropped
-    by exact tuple."""
+    by exact tuple.
+
+    The distinct columns are collected first and then inserted sparsest first:
+    by nonzero count, ties in orbit order (a stable sort). Sparse columns
+    leave sparse echelon rows, so later reductions are cheaper. Insertion
+    stops once the rank reaches n!, and every modular tracker sees the same
+    order."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -549,17 +569,13 @@ def _assignment_rank(A, domains, config, primes):
     nominal = prod(len(d) for d in domains) * nfact
     if nominal > config.cap_evals:
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations, cap is {config.cap_evals}")
+    distinct = dict.fromkeys(col for cols in _orbit_columns(A, domains) for col in cols)
     tracker = RankTracker()
     ptrackers = [RankTrackerModP(p) for p in primes]
-    seen = set()
-    for cols in _orbit_columns(A, domains):
-        for col in cols:
-            if col in seen:
-                continue
-            seen.add(col)
-            tracker.add(col)
-            for pt, p in zip(ptrackers, primes):
-                pt.add([_mod_frac(c, p) for c in col])
+    for col in sorted(distinct, key=lambda col: len(col) - col.count(0)):
+        tracker.add(col)
+        for pt, p in zip(ptrackers, primes):
+            pt.add([_mod_frac(c, p) for c in col])
         if tracker.rank == nfact and all(pt.rank == nfact for pt in ptrackers):
             break
     for pt, p in zip(ptrackers, primes):
@@ -646,13 +662,23 @@ def _require_wedderburn(A):
         raise ValueError("needs Wedderburn block data")
 
 
+def _check_orderings(nominal, config):
+    if nominal > config.cap_evals:
+        raise SizeCapError(f"block ordering search needs {nominal} orderings, cap is {config.cap_evals}")
+
+
 def admissible_exponent(A, config=DEFAULT_CONFIG):
     """Largest total block dimension over subsets of Wedderburn blocks that can
-    be chained through the radical in some order without vanishing."""
+    be chained through the radical in some order without vanishing.
+
+    Refused when the nominal number of orderings, the sum over subset sizes s
+    of C(k, s) * s!, is over config.cap_evals."""
     _require_wedderburn(A)
     blocks = A.wedderburn.blocks
     if not blocks:
         return 0
+    k = len(blocks)
+    _check_orderings(sum(perm(k, s) for s in range(1, k + 1)), config)
     J = jacobson_radical(A)
     spans = [coordinate_span(A.dim, b.indices) for b in blocks]
     best = 0
@@ -667,11 +693,14 @@ def admissible_exponent(A, config=DEFAULT_CONFIG):
 
 
 def is_reduced(A, config=DEFAULT_CONFIG):
-    """True when the full block set admits a nonvanishing radical chain."""
+    """True when the full block set admits a nonvanishing radical chain.
+
+    Refused when the k! orderings of the k blocks are over config.cap_evals."""
     _require_wedderburn(A)
     blocks = A.wedderburn.blocks
     if not blocks:
         return False
+    _check_orderings(factorial(len(blocks)), config)
     J = jacobson_radical(A)
     spans = [coordinate_span(A.dim, b.indices) for b in blocks]
     return any(

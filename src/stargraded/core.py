@@ -2,6 +2,7 @@
 decomposition, radical, Peirce decomposition, simplicity, direct sums, serialization."""
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -57,12 +58,26 @@ def _check_indices(dim, *indices):
             raise ValueError(f"basis index {i!r} is outside range({dim})")
 
 
+# an optional sign, digits, and optionally "/" and digits; no exponent, point or space
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _coeff(c):
-    # an exact rational from an int, a Fraction or a string such as "-3/2"
-    try:
+    """An exact rational from an int, a Fraction or a string such as "-3/2".
+
+    Strings are read by int(), whose digit limit bounds the work; anything
+    else, bools and floats included, is refused."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
         return _as_num(c)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"bad coefficient {c!r}: expected a rational such as \"-3/2\"") from None
+    if type(c) is str and _RATIONAL.fullmatch(c):
+        num, _, den = c.partition("/")
+        try:
+            return _as_num(Fraction(int(num), int(den or 1)))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"bad coefficient {c!r}: expected a rational such as \"-3/2\"")
 
 
 class StarSuperAlgebra:

@@ -3,6 +3,7 @@
 import pytest
 
 import stargraded as sg
+from stargraded import analysis
 from stargraded.analysis import (
     DEFAULT_CONFIG,
     RunConfig,
@@ -191,6 +192,31 @@ def test_exponent_of_extensions(m2):
     assert sg.admissible_exponent(sg.one_sided_radical_extension(m2)) == 4
     N = sg.commutative_nilpotent(1)
     assert sg.admissible_exponent(sg.tensor_nilpotent_extension(m2, N)) == 4
+
+
+def test_block_ordering_search_is_capped(monkeypatch):
+    A = parse_algebra_spec("+".join(["m_hl_transpose:1,0"] * 12))
+
+    def no_chain(*args):
+        raise AssertionError("a radical chain was started before the refusal")
+
+    # 12 blocks: 1,302,061,344 orderings of subsets and 479,001,600 of all blocks
+    monkeypatch.setattr(analysis, "jacobson_radical", no_chain)
+    with pytest.raises(SizeCapError, match="1302061344 orderings"):
+        sg.admissible_exponent(A)
+    with pytest.raises(SizeCapError, match="479001600 orderings"):
+        sg.is_reduced(A)
+
+
+def test_block_ordering_cap_is_exact():
+    # three blocks: 3 + 6 + 6 = 15 orderings of subsets, 3! = 6 of all blocks
+    A = parse_algebra_spec("m_hl_transpose:1,1+m_hl_transpose:1,0+m_hl_transpose:1,0")
+    assert sg.admissible_exponent(A, RunConfig(cap_evals=15)) == 4
+    assert not sg.is_reduced(A, RunConfig(cap_evals=6))
+    with pytest.raises(SizeCapError):
+        sg.admissible_exponent(A, RunConfig(cap_evals=14))
+    with pytest.raises(SizeCapError):
+        sg.is_reduced(A, RunConfig(cap_evals=5))
 
 
 def test_eval_cap_is_enforced(m2):

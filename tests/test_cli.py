@@ -136,6 +136,12 @@ def test_reports_are_byte_deterministic():
     assert a.output == b.output
 
 
+def test_block_ordering_search_exits_two():
+    res = run("exponent", "--spec", "+".join(["m_hl_transpose:1,0"] * 12))
+    assert res.exit_code == 2
+    assert "block ordering search" in res.output
+
+
 def test_cap_evals_flag_reaches_the_engine():
     res = run("--cap-evals", "1", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
     assert res.exit_code == 2
@@ -200,6 +206,7 @@ BAD_DOCUMENTS = [
         Document("structure_arity", structure=[[0, 0, 0]]),
         Document("involution_arity", involution=[[0, 0, "1/1", 1]]),
         Document("structure_entry_type", structure=[5]),
+        Document("coefficient_exponent", structure=[[0, 0, 0, "1e999999999"]]),
     )
 ]
 

@@ -7,11 +7,14 @@ from itertools import product
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import analysis
 from stargraded.analysis import RunConfig, _mod_frac, _word_values
-from stargraded.checks import parse_algebra_spec
+from stargraded.checks import parse_algebra_spec, parse_ut_spec
+from stargraded.core import sparse_mul
 from stargraded.errors import InternalInconsistencyError, SizeCapError
 from stargraded.linalg import RankTrackerModP, _as_num
 
@@ -29,6 +32,29 @@ SCALES = (1, -1, 2, -2, Fraction(1, 5), Fraction(-1, 5))
 
 
 # --------------------------------------- reference: the plain product enumeration
+
+
+def reference_word_values(A, vecs):
+    """Left-to-right products over all permutations of vecs, lex order, sparse.
+
+    Every word is multiplied out, with no block shared between slots."""
+    n = len(vecs)
+    out = [None] * factorial(n)
+
+    def rec(prefix, remaining, pos):
+        block = factorial(len(remaining) - 1)
+        for a, t in enumerate(remaining):
+            child = vecs[t] if prefix is None else sparse_mul(A, prefix, vecs[t])
+            if not child:
+                continue
+            rest = remaining[:a] + remaining[a + 1 :]
+            if rest:
+                rec(child, rest, pos + a * block)
+            else:
+                out[pos + a * block] = child
+
+    rec(None, tuple(range(n)), 0)
+    return [w if w is not None else {} for w in out]
 
 
 class ReferenceRankTracker:
@@ -76,7 +102,7 @@ def reference_assignment_rank(A, domains, config, primes):
     ptrackers = [RankTrackerModP(p) for p in primes]
     seen = set()
     for combo in product(*(range(len(d)) for d in domains)):
-        words = _word_values(A, [domains[s][combo[s]] for s in range(n)])
+        words = reference_word_values(A, [domains[s][combo[s]] for s in range(n)])
         for r in sorted({r for w in words for r in w}):
             col = tuple(_as_num(w.get(r, 0)) for w in words)
             if col in seen:
@@ -169,6 +195,42 @@ def test_mod_p_screen_matches_on_a_rescaled_basis(monkeypatch):
     assert got == want == sg.codim_graded(A, 3)
 
 
+# words: each slot's vector is drawn from a small pool, as the pool's own object
+# or as an equal but distinct dict, so equal vectors repeat in adjacent and in
+# separated slots both ways. The pool holds zero products (e11 e22 in M_2, the
+# radical squared in the glueing), a zero vector and Fraction coefficients.
+WORD_ALGEBRAS = {
+    "m2": sg.m_hl_transpose(1, 1),
+    "ut": sg.ut_star(parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", "")),
+}
+WORD_POOLS = {
+    "m2": ({0: 1}, {3: 1}, {1: 1}, {2: -1}, {0: 1, 3: Fraction(1, 2)}, {}),
+    "ut": ({0: 1}, {1: 1}, {2: 1}, {3: 2}, {2: 1, 3: Fraction(-1, 3)}, {}),
+}
+
+
+@st.composite
+def word_inputs(draw):
+    name = draw(st.sampled_from(sorted(WORD_POOLS)))
+    pool = WORD_POOLS[name]
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=5
+    ))
+    return name, [dict(pool[i]) if copy else pool[i] for i, copy in picks]
+
+
+@given(word_inputs())
+@example(("m2", [WORD_POOLS["m2"][0]] * 5))
+@example(("m2", [WORD_POOLS["m2"][i] for i in (0, 0, 2, 0, 2)]))
+@example(("m2", [WORD_POOLS["m2"][0], dict(WORD_POOLS["m2"][0]), WORD_POOLS["m2"][1]]))
+@example(("ut", [WORD_POOLS["ut"][i] for i in (2, 0, 2, 2, 5)]))
+@settings(max_examples=300, deadline=None)
+def test_word_values_match_the_full_walk(case):
+    name, vecs = case
+    A = WORD_ALGEBRAS[name]
+    assert _word_values(A, vecs) == reference_word_values(A, vecs)
+
+
 # ------------------------------------------------------------------ closed forms
 
 
@@ -208,3 +270,21 @@ def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, 
     f = sg.codim_graded if graded else sg.codim_ordinary
     assert f(A, n).value == value
     assert calls[0] == words
+
+
+# comments: the products made, then those of the same sweep with every word
+# multiplied out and the columns inserted in orbit order
+@pytest.mark.parametrize("spec,graded,n,value,bound", [
+    ("m_hl_transpose:1,1", False, 5, 91, 1_100),  # 1,024; 5,584
+    ("m_hl_transpose:1,1", False, 6, 346, 2_800),  # 2,608; 29,736
+    ("m_hl_transpose:1,1", True, 6, 4033, 8_000),  # 7,672; 106,920
+    ("mn_cmn_star:2,t", True, 5, 13792, 70_000),  # 66,048; 187,104
+])
+def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, value, bound):
+    A = parse_algebra_spec(spec)
+    f = sg.codim_graded if graded else sg.codim_ordinary
+    assert f(A, n).value == value
+    if not graded:
+        # the Procesi/Drensky closed form for c_n(M_2)
+        assert value == catalan(n + 1) - comb(n, 3) + 1 - 2**n
+    assert 0 < sparse_mul_calls[0] < bound

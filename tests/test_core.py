@@ -40,6 +40,24 @@ def test_involution_triples_keep_the_last_entry_and_drop_zeros():
         StarSuperAlgebra(2, ("a", "b"), [], (0, 0), [(0, 2, 1)])
 
 
+@pytest.mark.parametrize("c,value", [
+    (3, 3), (-2, -2), (Fraction(4, 2), 2), (Fraction(-1, 3), Fraction(-1, 3)),
+    ("-3/2", Fraction(-3, 2)), ("+7", 7), ("10/5", 2), ("0", 0), ("007/014", Fraction(1, 2)),
+])
+def test_coefficients_read_as_exact_rationals(c, value):
+    got = core._coeff(c)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("c", [
+    "1e999999999", "1e3", "0.5", " 3", "3 ", "1_000", "\uff13", "-3/-2", "3/", "/2", "", "+", "1/0",
+    "9" * 5000, "1/" + "7" * 5000, 1.5, 1.0, True, None, [1], {"n": 1},
+])
+def test_coefficients_outside_the_grammar_are_refused(c):
+    with pytest.raises(ValueError, match="bad coefficient"):
+        core._coeff(c)
+
+
 def test_validate_catches_non_involutive_star(m2):
     doc = sg.to_interchange(m2)
     doc["involution"][0] = [0, 1, "2/1"]
