@@ -1,6 +1,7 @@
 """Identity checking, Capelli thresholds, codimension sequences, and exponents."""
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -496,72 +497,54 @@ def _slot_groups(domains):
     return groups
 
 
-def _rearrangements(rep):
-    """One position map per distinct rearrangement of the sorted tuple rep:
-    pi with rep[pi[i]] as the i-th entry, the identity first."""
-    maps = {}
-    for u, pi in zip(permutations(rep), permutations(range(len(rep)))):
-        maps.setdefault(u, pi)
-    return list(maps.values())
+def _representative_columns(A, domains, groups):
+    """The columns of each orbit representative's words: one per coordinate, one
+    entry per word in lex order. Representatives are non-decreasing within
+    each slot group."""
+    vecs = [None] * len(domains)
+    for rep in product(*(combinations_with_replacement(d, len(slots)) for d, slots in groups)):
+        for (_, slots), picked in zip(groups, rep):
+            for s, v in zip(slots, picked):
+                vecs[s] = v
+        words = _word_values(A, vecs)
+        for r in sorted({r for w in words for r in w}):
+            yield tuple(w.get(r, 0) for w in words)
 
 
-def _orbit_columns(A, domains):
-    """Per assignment of one domain vector to each slot, the columns of its word
-    values: one column per coordinate, one entry per word in lex order.
-
-    Slots with equal domains form groups. Only orbit representatives, whose
-    indices are non-decreasing within each group, get their words computed;
-    each other assignment b = a o tau of a's orbit takes a's columns with
-    entries reindexed by sigma -> index(tau o sigma)."""
-    n = len(domains)
-    groups = _slot_groups(domains)
+def _generator_maps(groups, n):
+    """The reindexings sigma -> index(tau o sigma), as itemgetters on columns, of
+    the transposition (s_0 s_1) and, for c > 2, the cycle (s_0 ... s_{c-1}) of
+    each slot group s_0 < ... < s_{c-1}. They generate the group H below."""
     index = {p: i for i, p in enumerate(permutations(range(n)))}
-    getters = {}  # tau -> itemgetter of the lex-index map sigma -> index(tau o sigma)
-    identity = tuple(range(n))
-    for rep in product(*(combinations_with_replacement(range(len(d)), len(slots)) for d, slots in groups)):
-        a = [0] * n
-        for (_, slots), idx in zip(groups, rep):
-            for s, t in zip(slots, idx):
-                a[s] = t
-        words = _word_values(A, [domains[s][a[s]] for s in range(n)])
-        support = sorted({r for w in words for r in w})
-        if not support:
-            continue
-        cols = [tuple(w.get(r, 0) for w in words) for r in support]
-        for pis in product(*(_rearrangements(idx) for idx in rep)):
-            tau = list(identity)
-            for (_, slots), pi in zip(groups, pis):
-                for s, j in zip(slots, pi):
-                    tau[s] = slots[j]
-            tau = tuple(tau)
-            if tau == identity:
-                yield cols
-                continue
-            get = getters.get(tau)
-            if get is None:
-                # permutations(tau) lists tau o sigma for sigma in lex order
-                get = getters[tau] = itemgetter(*map(index.__getitem__, permutations(tau)))
-            yield [get(col) for col in cols]
+    maps = []
+    for _, slots in groups:
+        for cycle in [slots[:2], slots][: len(slots) - 1]:
+            tau = list(range(n))
+            for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+                tau[s] = t
+            # permutations(tau) lists tau o sigma for sigma in lex order
+            maps.append(itemgetter(*map(index.__getitem__, permutations(tau))))
+    return maps
 
 
 def _assignment_rank(A, domains, config, primes):
     """Rank of the matrix whose rows are the n! products of one slot vector each
     in every order, with one column per (assignment, coordinate) pair.
 
-    Words are computed once per orbit of assignments under the permutations tau
-    of slots with equal domains. Such a tau permutes the words of an
-    assignment a: (a o tau)(s) = a(tau(s)), so w_sigma(a o tau) =
-    w_{tau o sigma}(a), and the columns of a o tau are those of a with their
-    entries reindexed (_orbit_columns). Every assignment is a o tau for exactly
-    one representative a, so the column set is that of the plain enumeration
-    of all assignments; only the order differs. Repeated columns are dropped
-    by exact tuple.
+    The column space V is spun, not enumerated. Let H be the group of
+    permutations tau of slots with equal domains. As (a o tau)(s) = a(tau(s)),
+    w_sigma(a o tau) = w_{tau o sigma}(a): the columns of a o tau are those of
+    a reindexed by sigma -> index(tau o sigma). Every assignment is a o tau
+    for an orbit representative a, so V is the smallest H-stable space that
+    holds the representatives' columns, the seeds.
 
-    The distinct columns are collected first and then inserted sparsest first:
-    by nonzero count, ties in orbit order (a stable sort). Sparse columns
-    leave sparse echelon rows, so later reductions are cheaper. Insertion
-    stops once the rank reaches n!, and every modular tracker sees the same
-    order."""
+    The distinct seeds are inserted sparsest first (nonzero count, ties in
+    orbit order). Each vector that raises the rank has its _generator_maps
+    images queued, and the queue is inserted before the next seed; no vector
+    is queued twice. So the span S of the accepted vectors holds the seeds and
+    every generator image of an accepted vector: S is H-stable and contains V.
+    Each image is the column of some a o tau, so S = V. Insertion stops once
+    the rank reaches n!; every modular tracker sees the same sequence."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -569,14 +552,28 @@ def _assignment_rank(A, domains, config, primes):
     nominal = prod(len(d) for d in domains) * nfact
     if nominal > config.cap_evals:
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations, cap is {config.cap_evals}")
-    distinct = dict.fromkeys(col for cols in _orbit_columns(A, domains) for col in cols)
+    groups = _slot_groups(domains)
+    seeds = dict.fromkeys(_representative_columns(A, domains, groups))
+    gens = _generator_maps(groups, n)
+    seen = set(seeds)
     tracker = RankTracker()
     ptrackers = [RankTrackerModP(p) for p in primes]
-    for col in sorted(distinct, key=lambda col: len(col) - col.count(0)):
-        tracker.add(col)
-        for pt, p in zip(ptrackers, primes):
-            pt.add([_mod_frac(c, p) for c in col])
-        if tracker.rank == nfact and all(pt.rank == nfact for pt in ptrackers):
+    queue = deque()
+    done = False
+    for seed in sorted(seeds, key=lambda col: len(col) - col.count(0)):
+        queue.append(seed)
+        while queue and not done:
+            col = queue.popleft()
+            raised = tracker.add(col)
+            for pt, p in zip(ptrackers, primes):
+                pt.add([_mod_frac(c, p) for c in col])
+            done = tracker.rank == nfact and all(pt.rank == nfact for pt in ptrackers)
+            if raised:
+                for image in (g(col) for g in gens):
+                    if image not in seen:
+                        seen.add(image)
+                        queue.append(image)
+        if done:
             break
     for pt, p in zip(ptrackers, primes):
         if pt.rank != tracker.rank:

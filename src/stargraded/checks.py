@@ -2,6 +2,7 @@
 grammar for naming algebras on the command line."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .analysis import (
     DEFAULT_CONFIG,
@@ -20,6 +21,7 @@ from .core import (
     peirce_decompose,
     radical_centralizer,
 )
+from .errors import SizeCapError
 from .extensions import (
     commutative_nilpotent,
     noncommutative_nilpotent,
@@ -38,7 +40,7 @@ from .families import (
     classified_hom_dims,
 )
 from .polynomials import KINDS, generator_family
-from .triangular import UtSpec, ut_star
+from .triangular import UtSpec, component_corner_size, ut_star
 
 TOKEN_TO_TAG = {
     "m_hl_transpose": MHL_T,
@@ -102,46 +104,72 @@ def parse_family_token(text):
     return FamilyTag(TOKEN_TO_TAG[name], _parse_params(args) if args else ())
 
 
-def parse_algebra_spec(text):
+def check_dimension(dim, config=DEFAULT_CONFIG):
+    """Refuse an algebra before it is built when the radical's elimination on
+    its unit extension, (dim + 1)^2 entries, is over config.cap_evals."""
+    nominal = (dim + 1) ** 2
+    if nominal > config.cap_evals:
+        raise SizeCapError(f"dimension {dim} needs a radical elimination of {nominal} entries, cap is {config.cap_evals}")
+
+
+def parse_algebra_spec(text, config=DEFAULT_CONFIG):
     """Build an algebra from a spec string.
 
     Grammar: TERM ('+' TERM)* is a direct sum; TERM is a family token,
     'commutative_nilpotent:k', 'noncommutative_nilpotent',
-    'one_sided[SPEC]', or 'tensor[SPEC|SPEC]'."""
-    terms = _split_top(text.strip(), "+")
-    built = [_parse_term(t.strip()) for t in terms]
-    out = built[0]
-    for b in built[1:]:
-        out = direct_sum(out, b)
-    return out
+    'one_sided[SPEC]', or 'tensor[SPEC|SPEC]'. The whole spec is read, and
+    its dimension checked, before anything is built."""
+    dim, build = _plan(text)
+    check_dimension(dim, config)
+    return build()
 
 
-def _parse_term(text):
+def _plan(text):
+    """(dimension, builder) of a spec, from the closed forms. Every term has
+    dimension at least 1, so the total bounds each algebra built on the way."""
+    plans = [_plan_term(t.strip()) for t in _split_top(text.strip(), "+")]
+    return sum(d for d, _ in plans), lambda: reduce(direct_sum, (b() for _, b in plans))
+
+
+def _plan_term(text):
     if text.startswith("one_sided[") and text.endswith("]"):
-        return one_sided_radical_extension(parse_algebra_spec(text[len("one_sided[") : -1]))
+        d, base = _plan(text[len("one_sided[") : -1])
+        return 3 * d, lambda: one_sided_radical_extension(base())
     if text.startswith("tensor[") and text.endswith("]"):
         inner = _split_top(text[len("tensor[") : -1], "|")
         if len(inner) != 2:
             raise ValueError("tensor[...] needs exactly two parts separated by |")
-        return tensor_nilpotent_extension(parse_algebra_spec(inner[0]), parse_algebra_spec(inner[1]))
+        (d, base), (dn, nil) = _plan(inner[0]), _plan(inner[1])
+        return d * (dn + 1), lambda: tensor_nilpotent_extension(base(), nil())
     name, _, args = text.partition(":")
     if name == "commutative_nilpotent":
         params = _parse_params(args) if args else (1,)
         if len(params) != 1:
             raise ValueError(f"commutative_nilpotent takes one parameter k, got {args!r}")
-        return commutative_nilpotent(*params)
+        (k,) = params
+        if type(k) is not int or k < 1:
+            raise ValueError(f"commutative_nilpotent needs an integer k >= 1, got {k!r}")
+        return k, lambda: commutative_nilpotent(k)
     if name == "noncommutative_nilpotent":
         if args:
             raise ValueError(f"noncommutative_nilpotent takes no parameters, got {args!r}")
-        return noncommutative_nilpotent()
-    return build_family(parse_family_token(text))
+        return 4, noncommutative_nilpotent
+    tag = parse_family_token(text)
+    return sum(classified_hom_dims(tag)), lambda: build_family(tag)
 
 
-def parse_ut_spec(components, shifts):
-    """UtSpec from '+'-joined family tokens and a comma list of 0/1 shifts."""
+def parse_ut_spec(components, shifts, config=DEFAULT_CONFIG):
+    """UtSpec from '+'-joined family tokens and a comma list of 0/1 shifts.
+
+    The glueing's dimension, the blocks' plus (sum s)^2 - sum s^2 over the
+    corner sizes s for the radical, goes through check_dimension."""
     tags = tuple(parse_family_token(t) for t in _split_top(components, "+"))
     sh = tuple(int(s) for s in shifts.split(",")) if shifts else (0,) * len(tags)
-    return UtSpec(tags, sh)
+    spec = UtSpec(tags, sh)
+    sizes = [component_corner_size(t) for t in tags]
+    radical = sum(sizes) ** 2 - sum(s * s for s in sizes)
+    check_dimension(sum(sum(classified_hom_dims(t)) for t in tags) + radical, config)
+    return spec
 
 
 def ut_subject(components, shifts):

@@ -20,7 +20,7 @@ from .analysis import (
     is_graded_identity,
     is_reduced,
 )
-from .checks import parse_algebra_spec, parse_family_token, parse_ut_spec, row, run_suite
+from .checks import check_dimension, parse_algebra_spec, parse_family_token, parse_ut_spec, row, run_suite
 from .core import _frac_str, hom_dims, load_algebra, require_valid, to_interchange, validate
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
@@ -95,12 +95,13 @@ def subject_options(f):
     return click.option("--spec", default=None, help="algebra spec string")(f)
 
 
-def _subject(spec, input_path):
+def _subject(spec, input_path, config):
     if (spec is None) == (input_path is None):
         raise ValueError("provide exactly one of --spec or --input")
     if spec is not None:
-        return parse_algebra_spec(spec), spec
+        return parse_algebra_spec(spec, config), spec
     A = load_algebra(input_path)
+    check_dimension(A.dim, config)
     problems = validate(A)
     if problems:
         raise ValueError(f"loaded algebra is inconsistent: {problems[0]}")
@@ -114,7 +115,7 @@ def _subject(spec, input_path):
 def build(obj, spec):
     """Construct a named algebra or direct sum and emit interchange JSON."""
     config, out = obj
-    emit_algebra(require_valid(parse_algebra_spec(spec)), out)
+    emit_algebra(require_valid(parse_algebra_spec(spec, config)), out)
 
 
 @main.command()
@@ -126,7 +127,7 @@ def build(obj, spec):
 def ut(obj, components, shifts, show_layout):
     """Build the block triangular algebra of simple components."""
     config, out = obj
-    spec = parse_ut_spec(components, shifts)
+    spec = parse_ut_spec(components, shifts, config)
     A = ut_star(spec)
     if show_layout:
         lay = A.layout
@@ -142,7 +143,7 @@ def ut(obj, components, shifts, show_layout):
 def dims(obj, spec, input_path):
     """Report the four homogeneous component dimensions."""
     config, out = obj
-    A, subject = _subject(spec, input_path)
+    A, subject = _subject(spec, input_path, config)
     got = hom_dims(A)
     expected = ("", "", "", "")
     if spec is not None and "+" not in spec and "[" not in spec:
@@ -170,7 +171,7 @@ def dims(obj, spec, input_path):
 def threshold(obj, spec, input_path, kind, cap, unbarred, witness_out):
     """Smallest rank at which the (barred) alternating family becomes identities."""
     config, out = obj
-    A, subject = _subject(spec, input_path)
+    A, subject = _subject(spec, input_path, config)
     rep = capelli_threshold(A, kind, cap, config, barred=not unbarred)
     rows = [row("threshold", subject, kind, rep.search_cap, "", rep.threshold, True)]
     emit_rows(rows, out)
@@ -202,7 +203,7 @@ def _witness_json(w):
 def identity(obj, spec, input_path, rank, kind, deleted, witness_out):
     """Decide whether one barred family member is a graded identity."""
     config, out = obj
-    A, subject = _subject(spec, input_path)
+    A, subject = _subject(spec, input_path, config)
     dels = frozenset(int(x) for x in deleted.split(",") if x.strip() != "")
     p = capelli_member(rank, kind, dels)
     rep = is_graded_identity(A, p, config)
@@ -233,7 +234,7 @@ def identity(obj, spec, input_path, rank, kind, deleted, witness_out):
 def codim(obj, spec, input_path, degree, ordinary, brute, table_):
     """Codimension of the multilinear identities in the given degree."""
     config, out = obj
-    A, subject = _subject(spec, input_path)
+    A, subject = _subject(spec, input_path, config)
     rows = []
     if table_:
         for n, value, root in codim_table(A, degree, config):
@@ -262,7 +263,7 @@ def codim(obj, spec, input_path, degree, ordinary, brute, table_):
 def exponent(obj, spec, input_path):
     """Admissible exponent from the Wedderburn block data, and reducedness."""
     config, out = obj
-    A, subject = _subject(spec, input_path)
+    A, subject = _subject(spec, input_path, config)
     rows = [
         row("exponent", subject, "", "", "", admissible_exponent(A, config), True),
         row("is-reduced", subject, "", "", "", is_reduced(A, config), True),

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stargraded as sg
-from stargraded import core
+from stargraded import checks, cli, core
 from stargraded.cli import main
+from stargraded.errors import SizeCapError
 
 HEADER = "check,subject,kind,n,expected,actual,status"
 
@@ -282,6 +283,94 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, doc):
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exit_code == 0 or res.output.strip()
+
+
+# spec strings from the grammar's pieces: family tokens with the right arity
+# or a wrong one, nested, summed and cut short. Integers are small, or large
+# enough that every valid term holding one is refused.
+SPEC_INTS = st.integers(-1, 3) | st.just(10000)
+SPEC_PARAMS = SPEC_INTS.map(str) | st.sampled_from(["t", "s", "", " 1", "x", "1.5", "--2", "\u00b2"])
+SPEC_TOKENS = (
+    st.builds("m_hl_transpose:{},{}".format, SPEC_INTS, SPEC_INTS)
+    | st.builds("m_hl_exchange:{},{}".format, SPEC_INTS, SPEC_INTS)
+    | st.builds("{}:{},{}".format, st.sampled_from(["mn_cmn_star", "mn_cmn_dagger"]), SPEC_INTS, st.sampled_from("tsx"))
+    | st.builds("{}:{}".format, st.sampled_from(["m_hh_symplectic", "mn_cmn_exchange", "commutative_nilpotent"]), SPEC_INTS)
+    | st.sampled_from(["noncommutative_nilpotent", "commutative_nilpotent", "", "m_hl", "tensor", "one_sided[]"])
+    | st.builds(
+        lambda name, sep, params: name + sep + ",".join(params),
+        st.sampled_from(["m_hl_transpose", "mn_cmn_star", "noncommutative_nilpotent", "commutative_nilpotent"]),
+        st.sampled_from([":", "::", "["]),
+        st.lists(SPEC_PARAMS, max_size=3),
+    )
+)
+SPECS = st.recursive(
+    SPEC_TOKENS,
+    lambda inner: st.builds("{}+{}".format, inner, inner)
+    | st.builds("one_sided[{}]".format, inner)
+    | st.builds("tensor[{}|{}]".format, inner, inner)
+    | st.builds("tensor[{}]".format, inner)
+    | st.builds(lambda text, cut: text[:cut], inner, st.integers(0, 24)),
+    max_leaves=4,
+)
+
+
+@given(st.sampled_from(["dims", "build"]), SPECS)
+@settings(max_examples=200, deadline=None)
+def test_malformed_specs_exit_cleanly(command, spec):
+    args = ["dims", "--spec", spec] if command == "dims" else ["build", spec]
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exit_code == 0 or res.output.strip()
+
+
+def test_large_specs_are_refused_before_construction(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("constructor called")
+
+    for name in ("build_family", "commutative_nilpotent", "one_sided_radical_extension", "tensor_nilpotent_extension"):
+        monkeypatch.setattr(checks, name, unbuilt)
+    monkeypatch.setattr(cli, "ut_star", unbuilt)
+    # dimensions 4e8, 14,400, 2 + 1e4 * 3 and 3 * 14,400, then a glueing whose
+    # blocks (2 * 70^2) pass and whose radical (2 * 70 * 70) does not
+    for args in (
+        ["dims", "--spec", "m_hl_transpose:10000,10000"],
+        ["build", "m_hl_transpose:60,60"],
+        ["dims", "--spec", "commutative_nilpotent:2+tensor[m_hl_transpose:50,50|commutative_nilpotent:2]"],
+        ["codim", "--spec", "one_sided[m_hl_transpose:60,60]", "--n", "2"],
+        ["ut", "--components", "m_hl_transpose:35,35+m_hl_transpose:35,35"],
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("refused: dimension ")
+    # 3600: (3600 + 1)^2 is under the default cap, so construction is reached
+    res = run("dims", "--spec", "m_hl_transpose:30,30")
+    assert res.exit_code == 1 and "constructor called" in repr(res.exception)
+
+
+def test_dimension_cap_is_exact():
+    # dim 4: the radical elimination of the unit extension has 25 entries
+    checks.check_dimension(4, sg.RunConfig(cap_evals=25))
+    with pytest.raises(SizeCapError, match="25 entries, cap is 24"):
+        checks.check_dimension(4, sg.RunConfig(cap_evals=24))
+    checks.check_dimension(3600)
+    with pytest.raises(SizeCapError):
+        checks.check_dimension(14400)
+
+
+def test_loaded_documents_meet_the_dimension_cap(tmp_path):
+    path = tmp_path / "m11.json"
+    path.write_text(json.dumps(sg.to_interchange(sg.m_hl_transpose(1, 1))))
+    assert run("--cap-evals", "25", "dims", "--input", str(path)).exit_code == 0
+    res = run("--cap-evals", "24", "dims", "--input", str(path))
+    assert res.exit_code == 2 and res.output.startswith("refused: dimension 4 ")
+
+
+def test_codimension_cap_is_reached_past_the_dimension_cap():
+    # 25 entries for the radical pass the cap; the first content's 2^3 * 3! = 48
+    # evaluations do not
+    res = run("--cap-evals", "30", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
+    assert res.exit_code == 2 and "codimension sweep needs 48 evaluations" in res.output
 
 
 def scaled_m11(tmp_path, coeff):

@@ -3,7 +3,7 @@ against the plain product enumeration on the Fraction tracker, closed forms,
 and pinned work counts."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -16,7 +16,7 @@ from stargraded.analysis import RunConfig, _mod_frac, _word_values
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import InternalInconsistencyError, SizeCapError
-from stargraded.linalg import RankTrackerModP, _as_num
+from stargraded.linalg import RankTracker, RankTrackerModP, _as_num
 
 # one small member of each classified family, both flavors of mn_cmn_star
 FAMILIES = (
@@ -288,3 +288,86 @@ def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, val
         # the Procesi/Drensky closed form for c_n(M_2)
         assert value == catalan(n + 1) - comb(n, 3) + 1 - 2**n
     assert 0 < sparse_mul_calls[0] < bound
+
+
+# ------------------------------------------------------------------ spinning
+
+
+class RecordingTracker(RankTracker):
+    """The library tracker, keeping its insertion count and accepted vectors."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.accepted = []
+        RecordingTracker.made.append(self)
+
+    def add(self, vec):
+        self.calls += 1
+        raised = super().add(vec)
+        if raised:
+            self.accepted.append(tuple(vec))
+        return raised
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    RecordingTracker.made = []
+    monkeypatch.setattr(analysis, "RankTracker", RecordingTracker)
+    return RecordingTracker.made
+
+
+# comments: the insertions made, then those of the same sweep inserting every
+# distinct orbit column sparsest first
+@pytest.mark.parametrize("spec,graded,n,value,bound", [
+    ("m_hl_transpose:1,1", False, 6, 346, 500),  # 450; 1,653
+    ("mn_cmn_star:2,t", True, 5, 13792, 2_200),  # 2,048; 3,468
+])
+def test_spinning_bounds_the_rank_insertions(recording, spec, graded, n, value, bound):
+    A = parse_algebra_spec(spec)
+    f = sg.codim_graded if graded else sg.codim_ordinary
+    assert f(A, n).value == value
+    assert 0 < sum(t.calls for t in recording) <= bound
+
+
+def young_subgroup(domains):
+    """Every permutation tau of the slots that maps each slot to one with an
+    equal domain, as a tuple tau[s]."""
+    n = len(domains)
+    return [tau for tau in permutations(range(n)) if all(domains[tau[s]] == domains[s] for s in range(n))]
+
+
+def reindexed(col, tau):
+    """The column of a o tau from the column of a: entry sigma is entry tau o sigma."""
+    perms = list(permutations(range(len(tau))))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(col[index[tuple(tau[x] for x in sigma)]] for sigma in perms)
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_spun_span_is_stable_under_every_slot_permutation(monkeypatch, recording, spec):
+    A = parse_algebra_spec(spec)
+    original = analysis._assignment_rank
+    checked = [0]
+
+    def checking(A, domains, config, primes):
+        del recording[:]
+        r = original(A, domains, config, primes)
+        if r:
+            (tracker,) = recording
+            span = RankTracker(tracker.accepted)
+            assert span.rank == r
+            for tau in young_subgroup(domains):
+                for col in tracker.accepted:
+                    assert not span.add(reindexed(col, tau))
+            checked[0] += 1
+        return r
+
+    monkeypatch.setattr(analysis, "_assignment_rank", checking)
+    for n in range(1, 5):
+        sg.codim_graded(A, n)
+    for n in ordinary_degrees(A, 4):
+        sg.codim_ordinary(A, n)
+    assert checked[0] > 0
