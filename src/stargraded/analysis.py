@@ -147,12 +147,18 @@ def _first_nonzero(A, m, kind, deleted, config):
     support misses every state's support would give no states, so it is not
     tried, and the DP skips the same way per state (left_supports). Within one
     alternating tuple the subtree below a gap depends only on the gap and the
-    joined states, so a pair (gap, states) whose subtree vanished once is not
-    searched again. The key lists the states in insertion order, so equal
-    states met in another order are only searched twice. A pinned deleted gap
-    has one option and its states are the extension of the parent's, so it
-    keeps no key. Skipped options are exactly those the plain search finds
-    empty or vanishing, so the first witness is the same."""
+    joined states {mask: vector}, and every value it reaches is a linear
+    function of them: each step multiplies every state by a fixed vector and
+    sums. Flattened to {mask * dim + k: coeff}, the joined states of each
+    option searched at a gap go into that gap's RankTracker first. The search
+    is depth first and returns at its first nonzero value, so every earlier
+    entry of a tracker belongs to a subtree that was searched in full and
+    vanished. An option whose states lie in their span therefore vanishes
+    too, and it is skipped when `add` finds it dependent. This covers equal
+    states in any order and their multiples. A pinned deleted gap has one
+    option and its states are the extension of the parent's, so it is not
+    recorded. Skipped options are exactly ones the plain search finds empty
+    or vanishing, so the first witness is the same."""
     alt_dom = kind_basis(A, kind)
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
@@ -167,6 +173,7 @@ def _first_nonzero(A, m, kind, deleted, config):
     alt_dom_left = left_supports(A, kind)
     conn_left = left_supports(A, ANY)
     full = (1 << m) - 1
+    dim = A.dim
 
     def rec(g, states, choices):
         if g == m - 1:
@@ -198,24 +205,20 @@ def _first_nonzero(A, m, kind, deleted, config):
                         joined[mask] = w
                 if not joined:
                     continue
-            if forced:
-                key = None
-            else:
-                key = (g, tuple((mask, tuple(v.items())) for mask, v in joined.items()))
-                if key in vanished:
+            if not forced:
+                flat = {mask * dim + k: c for mask, v in joined.items() for k, c in v.items()}
+                if not spans[g].add(flat):
                     continue
             nxt = _extend_alternating(A, joined, alt_vecs, m, alt_left)
             hit = rec(g + 1, nxt, choices + [opt]) if nxt else None
             if hit:
                 return hit
-            if key is not None:
-                vanished.add(key)
         return None
 
     for alt_idx in combinations(range(len(alt_dom)), m):
         alt_vecs = [alt_dom[t] for t in alt_idx]
         alt_left = [alt_dom_left[t] for t in alt_idx]
-        vanished = set()
+        spans = [RankTracker() for _ in range(m - 1)]
         states = {1 << t: alt_vecs[t] for t in range(m)}
         hit = rec(0, states, [])
         if hit:

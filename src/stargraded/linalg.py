@@ -14,25 +14,27 @@ def _as_num(x):
     return f.numerator if f.denominator == 1 else f
 
 
-def _dense(row, n):
-    # a coordinate sequence of length n, or a sparse dict {index: coeff} expanded to one
+def _checked(row, n):
+    # a coordinate sequence of length n, or a sparse dict {index: coeff} indexed in range(n)
     if not isinstance(row, dict):
         if len(row) != n:
             raise ValueError(f"a vector of length {len(row)} where {n} is expected")
-        return row
-    if row and not 0 <= min(row) <= max(row) < n:
+    elif row and not 0 <= min(row) <= max(row) < n:
         raise ValueError(f"a sparse vector {row} has an index outside range({n})")
-    v = [0] * n
-    for j, x in row.items():
-        v[j] = x
-    return v
+    return row
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot_columns); input is not mutated."""
     tr = RankTracker(rows)
     n = len(rows[0]) if rows else 0
-    return [_dense(r, n) for r in tr.reduced()], list(tr.pivots)
+    dense = []
+    for r in tr.reduced():
+        v = [0] * n
+        for j, x in r.items():
+            v[j] = x
+        dense.append(v)
+    return dense, list(tr.pivots)
 
 
 def rank(rows):
@@ -89,7 +91,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "sparse_basis", "pivots")
 
     def __init__(self, ambient_dim, basis_rows=()):
-        tr = RankTracker(_dense(r, ambient_dim) for r in basis_rows)
+        tr = RankTracker(_checked(r, ambient_dim) for r in basis_rows)
         self.ambient_dim = ambient_dim
         self.sparse_basis = tuple(tr.reduced())
         self.pivots = dict(zip(tr.pivots, self.sparse_basis))
@@ -144,13 +146,20 @@ class RankTracker:
     stored rows in pivot order by fraction-free steps w <- p*w - f*row, with
     the pivot p and the entry f first divided by their gcd. Rows are kept
     primitive instead of dividing by the previous pivot as Bareiss (1968)
-    does. The vector being reduced is held dense. Stored rows are sparse,
-    primitive (gcd 1, positive pivot) and in echelon form: no row has an entry
-    left of its pivot, so a reduced vector that is not zero starts at a new
-    pivot. Rank needs no back-substitution; `reduced` does it once for the
-    canonical RREF. This is the only row reduction of the package: `rref`,
-    `rank`, `nullspace`, `solve` and `Subspace` all read it. No floats, no
-    modular step."""
+    does. Stored rows are sparse, primitive (gcd 1, positive pivot) and in
+    echelon form: no row has an entry left of its pivot, so a reduced vector
+    that is not zero starts at a new pivot. Rank needs no back-substitution;
+    `reduced` does it once for the canonical RREF. This is the only row
+    reduction of the package: `rref`, `rank`, `nullspace`, `solve` and
+    `Subspace` all read it. No floats, no modular step.
+
+    `add` takes a coordinate sequence or a sparse dict {index: coeff}, and the
+    two give the same stored rows. A sequence is reduced dense, walking every
+    pivot: codimension columns fill in as they are reduced, and there a list
+    beats a dict. A dict stays sparse: the next column is the least live
+    index, so only pivots the vector reaches are visited and a vector with a
+    few nonzeros of a long space costs a few steps. `Subspace` rows and the
+    barred sweep's joined states take this path."""
 
     __slots__ = ("pivots", "rows")
 
@@ -165,34 +174,67 @@ class RankTracker:
         return len(self.pivots)
 
     def add(self, vec):
-        """Insert a vector of ints and Fractions; returns True if it increased the rank."""
-        den = lcm(*{x.denominator for x in vec})
-        if den == 1:
-            w = [x.numerator for x in vec]
-        else:
-            w = [x.numerator * (den // x.denominator) for x in vec]
+        """Insert a vector of ints and Fractions, a coordinate sequence or a
+        sparse dict {index: coeff}; returns True if it increased the rank."""
         rows = self.rows
-        for c in self.pivots:
-            f = w[c]
-            if not f:
-                continue
-            cols, row = rows[c]
-            p = row[0]
-            g = gcd(p, f)
-            if g != p:
-                p //= g
-                w = [p * x for x in w]
-            f //= g
-            for j, x in zip(cols, row):
-                w[j] -= f * x
-        cols = [j for j, x in enumerate(w) if x]
+        if isinstance(vec, dict):
+            den = lcm(*{x.denominator for x in vec.values()})
+            w = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+            out = {}  # final entries, each left of every live one, ascending
+            last = self.pivots[-1] if self.pivots else -1
+            while w:
+                c = min(w)
+                if c > last:
+                    out.update(sorted(w.items()))
+                    break
+                entry = rows.get(c)
+                if entry is None:
+                    out[c] = w.pop(c)
+                    continue
+                f = w[c]
+                cols, row = entry
+                p = row[0]
+                g = gcd(p, f)
+                if g != p:
+                    p //= g
+                    w = {j: p * x for j, x in w.items()}
+                    out = {j: p * x for j, x in out.items()}
+                f //= g
+                for j, x in zip(cols, row):
+                    y = w.get(j, 0) - f * x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
+            cols, vals = list(out), list(out.values())
+        else:
+            den = lcm(*{x.denominator for x in vec})
+            if den == 1:
+                w = [x.numerator for x in vec]
+            else:
+                w = [x.numerator * (den // x.denominator) for x in vec]
+            for c in self.pivots:
+                f = w[c]
+                if not f:
+                    continue
+                cols, row = rows[c]
+                p = row[0]
+                g = gcd(p, f)
+                if g != p:
+                    p //= g
+                    w = [p * x for x in w]
+                f //= g
+                for j, x in zip(cols, row):
+                    w[j] -= f * x
+            cols = [j for j, x in enumerate(w) if x]
+            vals = [w[j] for j in cols]
         if not cols:
             return False
-        g = gcd(*(w[j] for j in cols))
-        if w[cols[0]] < 0:
+        g = gcd(*vals)
+        if vals[0] < 0:
             g = -g
         insort(self.pivots, cols[0])
-        rows[cols[0]] = (cols, [w[j] // g for j in cols])
+        rows[cols[0]] = (cols, [x // g for x in vals])
         return True
 
     def reduced(self):

@@ -295,6 +295,52 @@ def test_rank_tracker_rows_are_primitive_echelon():
         assert cols[0] == c and vals[0] > 0 and all(isinstance(v, int) for v in vals)
 
 
+@st.composite
+def rows_with_dicts(draw):
+    """Rational rows, and each row again as a dict in shuffled key order that
+    keeps some of the row's zeros. Mostly zero rows put non-pivot entries left
+    of a later pivot, the case where the reduced entries are scaled too."""
+    mostly_zero = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3)])
+    rows = draw(st.one_of(
+        matrices(6),
+        st.integers(1, 6).flatmap(
+            lambda m: st.lists(st.lists(mostly_zero, min_size=m, max_size=m), min_size=1, max_size=7)
+        ),
+        st.integers(1, 6).flatmap(
+            lambda m: st.lists(st.lists(fractions, min_size=m, max_size=m), min_size=1, max_size=7)
+        ),
+        rational_low_rank(),
+    ))
+    dicts = []
+    for row in rows:
+        kept = [(j, x) for j, x in enumerate(row) if x or draw(st.booleans())]
+        dicts.append(dict(draw(st.permutations(kept))))
+    return rows, dicts
+
+
+def tracker_state(tr):
+    return tr.pivots, tr.rows, tr.reduced()
+
+
+@given(rows_with_dicts())
+@settings(max_examples=200, deadline=None)
+def test_rank_tracker_reads_a_dict_as_its_dense_row(case):
+    rows, dicts = case
+    dense, sparse = RankTracker(), RankTracker()
+    assert [dense.add(r) for r in rows] == [sparse.add(d) for d in dicts]
+    assert tracker_state(dense) == tracker_state(sparse)
+
+
+def test_rank_tracker_dict_keys_are_indices():
+    for vec, pivots in (({3: 1}, [3]), ({2: 7, 0: 5}, [0]), ({}, []), ({0: 0, 2: Fraction(0)}, [])):
+        tr = RankTracker()
+        assert tr.add(vec) is bool(pivots)
+        assert tr.pivots == pivots
+    tr = RankTracker([{0: 5, 2: 7}])
+    assert tr.rows == {0: ([0, 2], [5, 7])}
+    assert not tr.add([Fraction(5, 3), 0, Fraction(7, 3)])
+
+
 def trial_division(n):
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 

@@ -1,12 +1,15 @@
 """The pruned barred sweep against the plain one, lazily built Capelli terms,
 and a deterministic bound on the products the sweep makes."""
 
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
 import stargraded as sg
+from stargraded import analysis
 from stargraded.analysis import RunConfig, _first_nonzero, _raw_witness, kind_basis
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
@@ -134,6 +137,39 @@ def test_sweep_matches_reference_on_simples(spec):
         same_sweep(A, m, ANY, None)
 
 
+def relabel(A, seed):
+    """The same algebra on the basis s_i e_i with seeded signs s_i: a structure
+    constant c_ijk becomes s_i s_j s_k c_ijk and an involution entry (r, k)
+    becomes s_r s_k times the old one. The basis order is kept."""
+    doc = sg.to_interchange(A)
+    rng = random.Random(seed)
+    sign = [rng.choice((1, -1)) for _ in range(doc["dim"])]
+
+    def scaled(s, x):
+        f = s * Fraction(x)
+        return f"{f.numerator}/{f.denominator}"
+
+    doc["structure"] = [[i, j, k, scaled(sign[i] * sign[j] * sign[k], c)] for i, j, k, c in doc["structure"]]
+    doc["involution"] = [[r, k, scaled(sign[r] * sign[k], c)] for r, k, c in doc["involution"]]
+    B = sg.from_interchange(doc)
+    assert sg.validate(B) == []
+    return B
+
+
+@pytest.mark.parametrize("spec,seed", [("m_hl_transpose:2,1", 3), ("mn_cmn_star:2,t", 5)])
+def test_sweep_matches_reference_on_relabeled_simples(spec, seed):
+    # signs on the basis change which joined states repeat exactly, but no
+    # span, and the first witness must still be the plain sweep's
+    A = relabel(parse_algebra_spec(spec), seed)
+    for kind in KINDS:
+        for m in range(1, len(kind_basis(A, kind)) + 2):
+            same_sweep(A, m, kind, None)
+            for deleted in pinned_patterns(m):
+                same_sweep(A, m, kind, deleted)
+    for m in range(1, 5):
+        same_sweep(A, m, ANY, None)
+
+
 def test_sweep_matches_reference_on_three_blocks():
     A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
     assert same_sweep(A, 5, "z+", None, UNCAPPED) is not None
@@ -188,5 +224,28 @@ def test_high_rank_member_builds_no_terms():
 def test_rank6_zplus_proof_product_count(sparse_mul_calls):
     A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
     assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=10**12))
-    # the unpruned sweep makes 1,671,136 products here
-    assert 0 < sparse_mul_calls[0] < 300_000
+    # the unpruned sweep makes 1,671,136 products here, and a sweep that skips
+    # only exact repeats of the joined states about 96,500
+    assert 0 < sparse_mul_calls[0] < 60_000
+
+
+def test_sweep_work_is_the_same_on_every_signed_relabeling(monkeypatch, sparse_mul_calls):
+    # a signed relabeling rescales the joined states' coordinates by +-1, which
+    # changes no span, so the span-pruned sweep does the same work on each
+    extend = analysis._extend_alternating
+    extends = [0]
+
+    def counted(*args):
+        extends[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(analysis, "_extend_alternating", counted)
+    UT3 = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    counts = {}
+    for seed in (1, 2, 3):
+        A = relabel(UT3, seed)
+        for m, identity in ((5, False), (6, True)):
+            sparse_mul_calls[0] = extends[0] = 0
+            assert sg.barred_rank_is_identity(A, "z+", m, UNCAPPED) is identity
+            counts.setdefault(m, set()).add((sparse_mul_calls[0], extends[0]))
+    assert all(len(seen) == 1 for seen in counts.values()), counts
