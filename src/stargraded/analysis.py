@@ -3,7 +3,6 @@
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, perm, prod
 from operator import itemgetter
@@ -17,7 +16,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
-from .linalg import RankTracker, RankTrackerModP, coordinate_span, is_prime
+from .linalg import RankTracker, coordinate_span
 from .polynomials import (
     ANY,
     KINDS,
@@ -34,18 +33,19 @@ from .triangular import is_trivially_graded, ut_star
 class RunConfig:
     """Caps and reproducibility knobs shared by the checking routines.
 
-    cap_n bounds codimension degrees; cap_evals bounds nominal enumeration
-    sizes before a computation is refused; mod_p, a prime, turns on modular
-    screening of exact ranks; seed drives every randomized fallback."""
+    cap_n bounds codimension degrees and cap_evals nominal enumeration sizes
+    before a computation is refused; both are ints of at least 1. seed drives
+    every randomized fallback."""
 
     cap_n: int = 6
     cap_evals: int = 10**8
-    mod_p: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.mod_p is not None and (type(self.mod_p) is not int or not is_prime(self.mod_p)):
-            raise ValueError(f"the screening modulus must be a prime, got {self.mod_p!r}")
+        for name in ("cap_n", "cap_evals"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
 
 
 DEFAULT_CONFIG = RunConfig()
@@ -480,13 +480,6 @@ def _word_values(A, vecs):
     return [w if w is not None else {} for w in out]
 
 
-def _mod_frac(x, p):
-    f = Fraction(x)
-    if f.denominator % p == 0:
-        raise ValueError(f"prime {p} divides a denominator of the word values; choose another prime")
-    return f.numerator * pow(f.denominator, -1, p) % p
-
-
 def _slot_groups(domains):
     """Slots grouped by equal domain, in order of first appearance: (domain, slots)."""
     groups = []
@@ -530,7 +523,7 @@ def _generator_maps(groups, n):
     return maps
 
 
-def _assignment_rank(A, domains, config, primes):
+def _assignment_rank(A, domains, config):
     """Rank of the matrix whose rows are the n! products of one slot vector each
     in every order, with one column per (assignment, coordinate) pair.
 
@@ -546,8 +539,8 @@ def _assignment_rank(A, domains, config, primes):
     images queued, and the queue is inserted before the next seed; no vector
     is queued twice. So the span S of the accepted vectors holds the seeds and
     every generator image of an accepted vector: S is H-stable and contains V.
-    Each image is the column of some a o tau, so S = V. Insertion stops once
-    the rank reaches n!; every modular tracker sees the same sequence."""
+    Each image is the column of some a o tau, so S = V. Insertion stops as
+    soon as the rank reaches n!, the number of rows."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -560,30 +553,18 @@ def _assignment_rank(A, domains, config, primes):
     gens = _generator_maps(groups, n)
     seen = set(seeds)
     tracker = RankTracker()
-    ptrackers = [RankTrackerModP(p) for p in primes]
     queue = deque()
-    done = False
     for seed in sorted(seeds, key=lambda col: len(col) - col.count(0)):
         queue.append(seed)
-        while queue and not done:
+        while queue:
             col = queue.popleft()
-            raised = tracker.add(col)
-            for pt, p in zip(ptrackers, primes):
-                pt.add([_mod_frac(c, p) for c in col])
-            done = tracker.rank == nfact and all(pt.rank == nfact for pt in ptrackers)
-            if raised:
+            if tracker.add(col):
+                if tracker.rank == nfact:
+                    return nfact
                 for image in (g(col) for g in gens):
                     if image not in seen:
                         seen.add(image)
                         queue.append(image)
-        if done:
-            break
-    for pt, p in zip(ptrackers, primes):
-        if pt.rank != tracker.rank:
-            raise InternalInconsistencyError(
-                f"rank {tracker.rank} over the rationals but {pt.rank} mod {p}: either {p} is an "
-                "unlucky prime or the exact rank is wrong, and no certified rank tells them apart yet"
-            )
     return tracker.rank
 
 
@@ -613,14 +594,13 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
     kind contents, each content's evaluation rank times its multinomial weight."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
-    primes = (config.mod_p,) if config.mod_p else ()
     total = 0
     ranks = {}
     for content in _contents(n):
         slot_doms = []
         for c, k in zip(content, KINDS):
             slot_doms.extend([doms[k]] * c)
-        r = _assignment_rank(A, slot_doms, config, primes)
+        r = _assignment_rank(A, slot_doms, config)
         ranks[content] = r
         total += _multinomial(n, content) * r
     return CodimReport(n, total, ranks)
@@ -630,10 +610,9 @@ def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
     """Same value as codim_graded, summed over all 4^n kind vectors directly."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
-    primes = (config.mod_p,) if config.mod_p else ()
     total = 0
     for vector in product(KINDS, repeat=n):
-        total += _assignment_rank(A, [doms[k] for k in vector], config, primes)
+        total += _assignment_rank(A, [doms[k] for k in vector], config)
     return total
 
 
@@ -641,8 +620,7 @@ def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
     _check_degree(n, config)
     dom = [{k: 1} for k in range(A.dim)]
-    primes = (config.mod_p,) if config.mod_p else ()
-    r = _assignment_rank(A, [dom] * n, config, primes)
+    r = _assignment_rank(A, [dom] * n, config)
     return CodimReport(n, r, {("any",) * n: r})
 
 

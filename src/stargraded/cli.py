@@ -79,14 +79,13 @@ def guarded(f):
 @click.group()
 @click.option("--cap-n", default=6, show_default=True, help="largest codimension degree")
 @click.option("--cap-evals", default=10**8, show_default=True, help="largest nominal enumeration")
-@click.option("--mod-p", default=None, type=int, help="screen exact ranks modulo this prime")
 @click.option("--seed", default=0, show_default=True, help="seed for randomized fallbacks")
 @click.option("--out", default=None, type=click.Path(), help="write the report here instead of stdout")
 @click.pass_context
 @guarded
-def main(ctx, cap_n, cap_evals, mod_p, seed, out):
+def main(ctx, cap_n, cap_evals, seed, out):
     """Exact constructions and identity checks for superalgebras with involution."""
-    ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, mod_p=mod_p, seed=seed), out)
+    ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, seed=seed), out)
 
 
 def subject_options(f):
@@ -234,6 +233,8 @@ def identity(obj, spec, input_path, rank, kind, deleted, witness_out):
 def codim(obj, spec, input_path, degree, ordinary, brute, table_):
     """Codimension of the multilinear identities in the given degree."""
     config, out = obj
+    if ordinary + brute + table_ > 1:
+        raise ValueError("--ordinary, --brute and --table are mutually exclusive")
     A, subject = _subject(spec, input_path, config)
     rows = []
     if table_:

@@ -270,65 +270,3 @@ class RankTracker:
                 basis.append(v)
         return rref(basis)[0]
 
-
-# Miller-Rabin with the prime bases 2..41 is exact below this bound
-# (Sorenson and Webster, 2015); larger moduli are refused.
-PRIME_TEST_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(n):
-    """Deterministic primality of an integer n < PRIME_TEST_BOUND."""
-    if n >= PRIME_TEST_BOUND:
-        raise ValueError(f"{n} is too large for the deterministic prime test (bound {PRIME_TEST_BOUND})")
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class RankTrackerModP:
-    """Incremental rank of a growing set of integer vectors modulo a prime."""
-
-    __slots__ = ("p", "rows", "pivots")
-
-    def __init__(self, p):
-        self.p = p
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        p = self.p
-        w = [x % p for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            if w[c]:
-                f = w[c]
-                w = [(a - f * b) % p for a, b in zip(w, row)]
-        c = next((j for j, x in enumerate(w) if x), None)
-        if c is None:
-            return False
-        inv = pow(w[c], p - 2, p)
-        w = [(x * inv) % p for x in w]
-        self.rows.append(w)
-        self.pivots.append(c)
-        return True

@@ -153,11 +153,6 @@ def test_codim_respects_the_degree_cap(ground):
     assert sg.codim_graded(ground, 7, cfg).value == 1
 
 
-def test_codim_mod_p_screen_agrees(m2):
-    cfg = RunConfig(mod_p=2147483647)
-    assert sg.codim_graded(m2, 3, cfg).value == sg.codim_graded(m2, 3).value
-
-
 def test_codim_table_roots(ground):
     rows = sg.codim_table(ground, 3)
     assert [(n, v) for n, v, _ in rows] == [(1, 1), (2, 1), (3, 1)]
@@ -165,7 +160,7 @@ def test_codim_table_roots(ground):
 
 
 def test_assignment_rank_empty_domain(m2):
-    assert _assignment_rank(m2, [[]], DEFAULT_CONFIG, ()) == 0
+    assert _assignment_rank(m2, [[]], DEFAULT_CONFIG) == 0
 
 
 def test_exponent_of_simples():

@@ -168,10 +168,11 @@ BAD_INPUTS = [
 BAD_OPTIONS = [
     ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "0,1"),
     ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "2"),
-    ("--mod-p", "4", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
-    ("--mod-p", "0", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
-    ("--mod-p", "-5", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
-    ("--mod-p", str(10**30), "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
+    ("--cap-n", "0", "codim", "--spec", "m_hl_transpose:1,1", "--n", "2"),
+    ("--cap-evals", "-5", "dims", "--spec", "m_hl_transpose:1,1"),
+    ("codim", "--spec", "m_hl_transpose:1,1", "--n", "2", "--ordinary", "--table"),
+    ("codim", "--spec", "m_hl_transpose:1,1", "--n", "2", "--table", "--brute"),
+    ("codim", "--spec", "m_hl_transpose:1,1", "--n", "2", "--ordinary", "--brute"),
 ]
 
 
@@ -396,9 +397,8 @@ def test_bad_input_messages_do_not_depend_on_asserts(optimize, tmp_path):
     src = str(Path(sg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-O"] if optimize else []
-    denominator = ("--mod-p", "5", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
     no_blocks = ("exponent", "--input", without_wedderburn(tmp_path))
-    probes = BAD_INPUTS[:3] + BAD_INPUTS[4:] + [BAD_OPTIONS[0], BAD_OPTIONS[2], denominator, no_blocks]
+    probes = BAD_INPUTS[:3] + BAD_INPUTS[4:] + BAD_OPTIONS + [no_blocks]
     for args in probes + BAD_DOCUMENTS:
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "stargraded.cli", *materialize(args, tmp_path)],
@@ -409,26 +409,9 @@ def test_bad_input_messages_do_not_depend_on_asserts(optimize, tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_prime_modulus_screens_the_rank():
-    res = run("--mod-p", "2147483647", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
-    assert res.exit_code == 0
-    assert res.output == run("codim", "--spec", "m_hl_transpose:1,1", "--n", "3").output
-
-
-def test_prime_dividing_a_denominator_is_bad_input(tmp_path):
-    res = run("--mod-p", "5", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
-    assert res.exit_code == 1
-    assert res.output.startswith("error: ") and "choose another prime" in res.output
-    # another prime screens the same file
-    res = run("--mod-p", "7", "codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
+def test_codim_reads_fraction_structure_constants(tmp_path):
+    res = run("codim", "--input", scaled_m11(tmp_path, "1/5"), "--n", "3")
     assert res.exit_code == 0 and res.output.strip().endswith(",57,ok")
-
-
-def test_rank_drop_mod_p_stays_an_internal_inconsistency(tmp_path):
-    # every product of M_{1,1} on the basis 2*e_ij is even, so the rank drops mod 2
-    res = run("--mod-p", "2", "codim", "--input", scaled_m11(tmp_path, "2/1"), "--n", "2")
-    assert res.exit_code == 3
-    assert res.output.startswith("internal inconsistency: ") and "unlucky prime" in res.output
 
 
 def test_failed_self_check_exits_three(monkeypatch):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import RunConfig, _mod_frac, _word_values
+from stargraded.analysis import _word_values
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
-from stargraded.errors import InternalInconsistencyError, SizeCapError
-from stargraded.linalg import RankTracker, RankTrackerModP, _as_num
+from stargraded.errors import SizeCapError
+from stargraded.linalg import RankTracker, _as_num
 
 # one small member of each classified family, both flavors of mn_cmn_star
 FAMILIES = (
@@ -89,7 +89,7 @@ class ReferenceRankTracker:
         return True
 
 
-def reference_assignment_rank(A, domains, config, primes):
+def reference_assignment_rank(A, domains, config):
     """Every assignment in product order, its n! words computed directly."""
     n = len(domains)
     nfact = factorial(n)
@@ -99,7 +99,6 @@ def reference_assignment_rank(A, domains, config, primes):
     if nominal > config.cap_evals:
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations")
     tracker = ReferenceRankTracker()
-    ptrackers = [RankTrackerModP(p) for p in primes]
     seen = set()
     for combo in product(*(range(len(d)) for d in domains)):
         words = reference_word_values(A, [domains[s][combo[s]] for s in range(n)])
@@ -109,13 +108,8 @@ def reference_assignment_rank(A, domains, config, primes):
                 continue
             seen.add(col)
             tracker.add(list(col))
-            for pt, p in zip(ptrackers, primes):
-                pt.add([_mod_frac(c, p) for c in col])
-        if tracker.rank == nfact and all(pt.rank == nfact for pt in ptrackers):
+        if tracker.rank == nfact:
             break
-    for pt, p in zip(ptrackers, primes):
-        if pt.rank != tracker.rank:
-            raise InternalInconsistencyError(f"rank {tracker.rank} but {pt.rank} mod {p}")
     return tracker.rank
 
 
@@ -186,13 +180,6 @@ def test_rescaled_bases_match_the_product_enumeration(monkeypatch, spec, n_max, 
     for n in range(1, 3):
         got, want = both(monkeypatch, sg.codim_graded_bruteforce, A, n)
         assert got == want
-
-
-def test_mod_p_screen_matches_on_a_rescaled_basis(monkeypatch):
-    A = rescaled(parse_algebra_spec("m_hl_transpose:1,1"), scales_for(4, 1))
-    cfg = RunConfig(mod_p=2147483647)
-    got, want = both(monkeypatch, sg.codim_graded, A, 3, cfg)
-    assert got == want == sg.codim_graded(A, 3)
 
 
 # words: each slot's vector is drawn from a small pool, as the pool's own object
@@ -352,9 +339,9 @@ def test_spun_span_is_stable_under_every_slot_permutation(monkeypatch, recording
     original = analysis._assignment_rank
     checked = [0]
 
-    def checking(A, domains, config, primes):
+    def checking(A, domains, config):
         del recording[:]
-        r = original(A, domains, config, primes)
+        r = original(A, domains, config)
         if r:
             (tracker,) = recording
             span = RankTracker(tracker.accepted)

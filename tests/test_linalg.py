@@ -12,12 +12,9 @@ from stargraded import core
 from stargraded.checks import DIMS_GRID, parse_algebra_spec
 from stargraded.linalg import (
     RankTracker,
-    RankTrackerModP,
     Subspace,
-    PRIME_TEST_BOUND,
     _as_num,
     coordinate_span,
-    is_prime,
     mat_mul,
     mat_vec,
     nullspace,
@@ -136,21 +133,6 @@ def test_solve_detects_inconsistency():
 def test_mat_mul_against_identity():
     m = [[1, 2], [3, 4]]
     assert mat_mul(m, [[1, 0], [0, 1]]) == [[1, 2], [3, 4]]
-
-
-@given(matrices(4))
-@settings(max_examples=40, deadline=None)
-def test_rank_mod_large_prime_matches(rows):
-    tr = RankTrackerModP(2147483647)
-    for r in rows:
-        tr.add(r)
-    assert tr.rank == rank(rows)
-
-
-def test_rank_mod_small_prime_can_drop():
-    assert rank([[2]]) == 1
-    tr = RankTrackerModP(2)
-    assert not tr.add([2]) and tr.rank == 0
 
 
 @given(matrices())
@@ -339,34 +321,6 @@ def test_rank_tracker_dict_keys_are_indices():
     tr = RankTracker([{0: 5, 2: 7}])
     assert tr.rows == {0: ([0, 2], [5, 7])}
     assert not tr.add([Fraction(5, 3), 0, Fraction(7, 3)])
-
-
-def trial_division(n):
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def test_is_prime_matches_trial_division():
-    assert all(is_prime(n) == trial_division(n) for n in range(-3, 5000))
-
-
-def test_is_prime_on_strong_pseudoprimes_and_large_primes():
-    # strong pseudoprimes to every prime base up to 7, 23 and 37 respectively
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not is_prime(n)
-    for p in (2147483647, 2**61 - 1, 10**24 + 7):
-        assert is_prime(p)
-        assert not is_prime(p * 3)
-    with pytest.raises(ValueError):
-        is_prime(PRIME_TEST_BOUND)
-
-
-@given(matrices(4))
-@settings(max_examples=40, deadline=None)
-def test_rank_tracker_mod_p_never_exceeds_exact(rows):
-    tr = RankTrackerModP(2147483629)
-    for r in rows:
-        tr.add(r)
-    assert tr.rank <= rank(rows)
 
 
 def test_subspace_operations():
