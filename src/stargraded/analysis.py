@@ -445,39 +445,60 @@ def threshold_offsets(spec, config=DEFAULT_CONFIG):
     return ThresholdOffsetReport(m, m_trivial, m_runs, tuple(sums), thresholds, r0, r1)
 
 
-def _word_values(A, vecs):
-    """Left-to-right products over all permutations of vecs, lex order, sparse.
+def _word_columns(A, vecs, trie):
+    """The columns of the left-to-right products over all permutations of vecs:
+    one tuple per coordinate a word reaches, ascending, with one entry per
+    word in lex order.
 
     Where a remaining slot holds the same object as the remaining slot just
     before it, taking either one first leaves the same sequence of vectors, so
     its block of words is a copy of the previous block and is not multiplied
     again. Only adjacent slots share a block: removing one of two equal but
-    separated vectors leaves two different sequences. Equal words may be one
-    shared dict, so callers must not mutate them."""
-    n = len(vecs)
-    out = [None] * factorial(n)
+    separated vectors leaves two different sequences. The walk visits
+    positions in increasing order and a copy reads only finished positions,
+    so the copies are replayed on each column in walk order after the last
+    word has been scattered into the columns.
 
-    def rec(prefix, remaining, pos):
+    trie memoizes proper prefixes across calls: {id(factor): (factor, product,
+    children)}, keyed by factor identity. A node keeps its factor alive, so no
+    id is reused while the trie is. Full words are not stored: within one
+    codim_graded or codim_ordinary call no two representatives share one."""
+    n = len(vecs)
+    nfact = factorial(n)
+    cols = {}
+    copies = []
+
+    def rec(children, prefix, remaining, pos):
         block = factorial(len(remaining) - 1)
+        leaf = len(remaining) == 1
         prev = None
         for a, t in enumerate(remaining):
             lo = pos + a * block
             v = vecs[t]
             if v is prev:
-                out[lo : lo + block] = out[lo - block : lo]
+                copies.append((lo, block))
                 continue
             prev = v
-            child = v if prefix is None else sparse_mul(A, prefix, v)
-            if not child:
+            if leaf:
+                for r, c in (v if prefix is None else sparse_mul(A, prefix, v)).items():
+                    col = cols.get(r)
+                    if col is None:
+                        col = cols[r] = [0] * nfact
+                    col[lo] = c
                 continue
-            rest = remaining[:a] + remaining[a + 1 :]
-            if rest:
-                rec(child, rest, lo)
-            else:
-                out[lo] = child
+            node = children.get(id(v))
+            if node is None:
+                node = children[id(v)] = (v, v if prefix is None else sparse_mul(A, prefix, v), {})
+            _, value, grand = node
+            if value:
+                rec(grand, value, remaining[:a] + remaining[a + 1 :], lo)
 
-    rec(None, tuple(range(n)), 0)
-    return [w if w is not None else {} for w in out]
+    rec(trie, None, tuple(range(n)), 0)
+    for r in sorted(cols):
+        col = cols.pop(r)
+        for lo, block in copies:
+            col[lo : lo + block] = col[lo - block : lo]
+        yield tuple(col)
 
 
 def _slot_groups(domains):
@@ -493,18 +514,15 @@ def _slot_groups(domains):
     return groups
 
 
-def _representative_columns(A, domains, groups):
-    """The columns of each orbit representative's words: one per coordinate, one
-    entry per word in lex order. Representatives are non-decreasing within
-    each slot group."""
+def _representative_columns(A, domains, groups, trie):
+    """The _word_columns of each orbit representative, sharing trie.
+    Representatives are non-decreasing within each slot group."""
     vecs = [None] * len(domains)
     for rep in product(*(combinations_with_replacement(d, len(slots)) for d, slots in groups)):
         for (_, slots), picked in zip(groups, rep):
             for s, v in zip(slots, picked):
                 vecs[s] = v
-        words = _word_values(A, vecs)
-        for r in sorted({r for w in words for r in w}):
-            yield tuple(w.get(r, 0) for w in words)
+        yield from _word_columns(A, vecs, trie)
 
 
 def _generator_maps(groups, n):
@@ -523,7 +541,7 @@ def _generator_maps(groups, n):
     return maps
 
 
-def _assignment_rank(A, domains, config):
+def _assignment_rank(A, domains, config, trie):
     """Rank of the matrix whose rows are the n! products of one slot vector each
     in every order, with one column per (assignment, coordinate) pair.
 
@@ -540,7 +558,10 @@ def _assignment_rank(A, domains, config):
     is queued twice. So the span S of the accepted vectors holds the seeds and
     every generator image of an accepted vector: S is H-stable and contains V.
     Each image is the column of some a o tau, so S = V. Insertion stops as
-    soon as the rank reaches n!, the number of rows."""
+    soon as the rank reaches n!, the number of rows.
+
+    trie is the prefix memo of _word_columns. Each public codimension function
+    makes one, shares it across its calls here and drops it on return."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -549,7 +570,7 @@ def _assignment_rank(A, domains, config):
     if nominal > config.cap_evals:
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations, cap is {config.cap_evals}")
     groups = _slot_groups(domains)
-    seeds = dict.fromkeys(_representative_columns(A, domains, groups))
+    seeds = dict.fromkeys(_representative_columns(A, domains, groups, trie))
     gens = _generator_maps(groups, n)
     seen = set(seeds)
     tracker = RankTracker()
@@ -594,13 +615,14 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
     kind contents, each content's evaluation rank times its multinomial weight."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
+    trie = {}
     total = 0
     ranks = {}
     for content in _contents(n):
         slot_doms = []
         for c, k in zip(content, KINDS):
             slot_doms.extend([doms[k]] * c)
-        r = _assignment_rank(A, slot_doms, config)
+        r = _assignment_rank(A, slot_doms, config, trie)
         ranks[content] = r
         total += _multinomial(n, content) * r
     return CodimReport(n, total, ranks)
@@ -610,9 +632,10 @@ def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
     """Same value as codim_graded, summed over all 4^n kind vectors directly."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
+    trie = {}
     total = 0
     for vector in product(KINDS, repeat=n):
-        total += _assignment_rank(A, [doms[k] for k in vector], config)
+        total += _assignment_rank(A, [doms[k] for k in vector], config, trie)
     return total
 
 
@@ -620,7 +643,7 @@ def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
     _check_degree(n, config)
     dom = [{k: 1} for k in range(A.dim)]
-    r = _assignment_rank(A, [dom] * n, config)
+    r = _assignment_rank(A, [dom] * n, config, {})
     return CodimReport(n, r, {("any",) * n: r})
 
 

@@ -3,7 +3,12 @@ RREF, rank, nullspace, solving, canonical subspaces."""
 
 from bisect import insort
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import attrgetter
+
+_denominator = attrgetter("denominator")
+_numerator = attrgetter("numerator")
 
 
 def _as_num(x):
@@ -208,9 +213,9 @@ class RankTracker:
                         del w[j]
             cols, vals = list(out), list(out.values())
         else:
-            den = lcm(*{x.denominator for x in vec})
+            den = lcm(*set(map(_denominator, vec)))
             if den == 1:
-                w = [x.numerator for x in vec]
+                w = list(map(_numerator, vec))
             else:
                 w = [x.numerator * (den // x.denominator) for x in vec]
             for c in self.pivots:
@@ -226,8 +231,8 @@ class RankTracker:
                 f //= g
                 for j, x in zip(cols, row):
                     w[j] -= f * x
-            cols = [j for j, x in enumerate(w) if x]
-            vals = [w[j] for j in cols]
+            cols = list(compress(range(len(w)), w))
+            vals = list(filter(None, w))
         if not cols:
             return False
         g = gcd(*vals)

@@ -160,7 +160,7 @@ def test_codim_table_roots(ground):
 
 
 def test_assignment_rank_empty_domain(m2):
-    assert _assignment_rank(m2, [[]], DEFAULT_CONFIG) == 0
+    assert _assignment_rank(m2, [[]], DEFAULT_CONFIG, {}) == 0
 
 
 def test_exponent_of_simples():

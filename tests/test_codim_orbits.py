@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import _word_values
+from stargraded.analysis import _word_columns
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
@@ -89,8 +89,9 @@ class ReferenceRankTracker:
         return True
 
 
-def reference_assignment_rank(A, domains, config):
-    """Every assignment in product order, its n! words computed directly."""
+def reference_assignment_rank(A, domains, config, trie):
+    """Every assignment in product order, its n! words computed directly. The
+    library's prefix memo, trie, is not used."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -186,6 +187,8 @@ def test_rescaled_bases_match_the_product_enumeration(monkeypatch, spec, n_max, 
 # or as an equal but distinct dict, so equal vectors repeat in adjacent and in
 # separated slots both ways. The pool holds zero products (e11 e22 in M_2, the
 # radical squared in the glueing), a zero vector and Fraction coefficients.
+# One example is several calls of up to five slots each on one algebra, so
+# later calls read the prefixes that earlier calls left in the shared trie.
 WORD_ALGEBRAS = {
     "m2": sg.m_hl_transpose(1, 1),
     "ut": sg.ut_star(parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", "")),
@@ -200,22 +203,44 @@ WORD_POOLS = {
 def word_inputs(draw):
     name = draw(st.sampled_from(sorted(WORD_POOLS)))
     pool = WORD_POOLS[name]
-    picks = draw(st.lists(
-        st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=5
-    ))
-    return name, [dict(pool[i]) if copy else pool[i] for i, copy in picks]
+    slots = st.tuples(st.integers(0, len(pool) - 1), st.booleans())
+    calls = draw(st.lists(st.lists(slots, min_size=1, max_size=5), min_size=1, max_size=4))
+    return name, [[dict(pool[i]) if copy else pool[i] for i, copy in picks] for picks in calls]
+
+
+def reference_columns(A, vecs):
+    """reference_word_values transposed: one tuple per coordinate, ascending."""
+    words = reference_word_values(A, vecs)
+    return [tuple(w.get(r, 0) for w in words) for r in sorted({r for w in words for r in w})]
+
+
+M2_POOL, UT_POOL = WORD_POOLS["m2"], WORD_POOLS["ut"]
 
 
 @given(word_inputs())
-@example(("m2", [WORD_POOLS["m2"][0]] * 5))
-@example(("m2", [WORD_POOLS["m2"][i] for i in (0, 0, 2, 0, 2)]))
-@example(("m2", [WORD_POOLS["m2"][0], dict(WORD_POOLS["m2"][0]), WORD_POOLS["m2"][1]]))
-@example(("ut", [WORD_POOLS["ut"][i] for i in (2, 0, 2, 2, 5)]))
+@example(("m2", [[M2_POOL[0]] * 5]))
+@example(("m2", [[M2_POOL[i] for i in (0, 0, 2, 0, 2)], [M2_POOL[i] for i in (0, 0, 2, 0)]]))
+@example(("m2", [[M2_POOL[0], dict(M2_POOL[0]), M2_POOL[1]], [M2_POOL[0], M2_POOL[0], M2_POOL[1]]]))
+@example(("ut", [[UT_POOL[i] for i in (2, 0, 2, 2, 5)], [UT_POOL[i] for i in (2, 0, 2, 2, 1)]]))
 @settings(max_examples=300, deadline=None)
 def test_word_values_match_the_full_walk(case):
-    name, vecs = case
+    name, calls = case
     A = WORD_ALGEBRAS[name]
-    assert _word_values(A, vecs) == reference_word_values(A, vecs)
+    trie = {}
+    for vecs in calls:
+        assert list(_word_columns(A, vecs, trie)) == reference_columns(A, vecs)
+
+
+@pytest.mark.parametrize("spec", FAMILIES[:3])
+def test_prefix_memo_is_scoped_to_one_call(spec):
+    """Each public call builds its own prefix memo: the sum over all 4^n kind
+    vectors, made on one memo, equals the sum over contents, and a second call
+    on the same algebra gives the same ranks as the first."""
+    A = parse_algebra_spec(spec)
+    for n in range(1, 4):
+        first = sg.codim_graded(A, n)
+        assert sg.codim_graded_bruteforce(A, n) == first.value
+        assert sg.codim_graded(A, n).content_ranks == first.content_ranks
 
 
 # ------------------------------------------------------------------ closed forms
@@ -240,9 +265,9 @@ def count_words(monkeypatch):
 
     def counted(*args):
         calls[0] += 1
-        return _word_values(*args)
+        return _word_columns(*args)
 
-    monkeypatch.setattr(analysis, "_word_values", counted)
+    monkeypatch.setattr(analysis, "_word_columns", counted)
     return calls
 
 
@@ -259,13 +284,14 @@ def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, 
     assert calls[0] == words
 
 
-# comments: the products made, then those of the same sweep with every word
-# multiplied out and the columns inserted in orbit order
+# comments: the products made; those made when each representative multiplies
+# its own prefixes; and those of the same sweep with every word multiplied out
+# and the columns inserted in orbit order
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
-    ("m_hl_transpose:1,1", False, 5, 91, 1_100),  # 1,024; 5,584
-    ("m_hl_transpose:1,1", False, 6, 346, 2_800),  # 2,608; 29,736
-    ("m_hl_transpose:1,1", True, 6, 4033, 8_000),  # 7,672; 106,920
-    ("mn_cmn_star:2,t", True, 5, 13792, 70_000),  # 66,048; 187,104
+    ("m_hl_transpose:1,1", False, 5, 91, 300),  # 240; 1,024; 5,584
+    ("m_hl_transpose:1,1", False, 6, 346, 600),  # 496; 2,608; 29,736
+    ("m_hl_transpose:1,1", True, 6, 4033, 3_000),  # 2,656; 7,672; 106,920
+    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 22,144; 66,048; 187,104
 ])
 def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
@@ -339,9 +365,9 @@ def test_spun_span_is_stable_under_every_slot_permutation(monkeypatch, recording
     original = analysis._assignment_rank
     checked = [0]
 
-    def checking(A, domains, config):
+    def checking(A, domains, config, trie):
         del recording[:]
-        r = original(A, domains, config)
+        r = original(A, domains, config, trie)
         if r:
             (tracker,) = recording
             span = RankTracker(tracker.accepted)
