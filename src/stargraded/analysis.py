@@ -25,6 +25,7 @@ from .polynomials import (
     capelli_member,
     evaluate_alternating_fast,
     evaluate_sparse,
+    right_row,
 )
 from .triangular import is_trivially_graded, ut_star
 
@@ -115,16 +116,15 @@ def kind_basis(A, kind):
     return basis
 
 
-def left_supports(A, kind):
-    """Left support L(x) = {i : e_i x != 0} of each kind_basis vector, cached on
-    the algebra. A vector v has v x = 0 whenever supp(v) misses L(x)."""
-    supports = A._left_supports.get(kind)
-    if supports is None:
-        supports = A._left_supports[kind] = tuple(
-            frozenset(i for i in range(A.dim) if sparse_mul(A, {i: 1}, x))
-            for x in kind_basis(A, kind)
-        )
-    return supports
+def right_products(A):
+    """The right_row of each coordinate over kind_basis(A, ANY): for each i, the
+    nonzero products e_i x over the homogeneous basis vectors x as (index,
+    items) pairs in basis order. Cached on the algebra like kind_basis. The
+    left support {i : e_i x != 0} of x is the set of i whose row lists x."""
+    if A._right_products is None:
+        basis = kind_basis(A, ANY)
+        A._right_products = [right_row(A, i, basis) for i in range(A.dim)]
+    return A._right_products
 
 
 def _dense(A, sv):
@@ -143,22 +143,24 @@ def _first_nonzero(A, m, kind, deleted, config):
     lexicographic, then per gap each connector index ascending, skip last.
     Returns a raw witness or None when every evaluation vanishes.
 
-    Only work that can change the answer is done. A connector whose left
-    support misses every state's support would give no states, so it is not
-    tried, and the DP skips the same way per state (left_supports). Within one
-    alternating tuple the subtree below a gap depends only on the gap and the
-    joined states {mask: vector}, and every value it reaches is a linear
-    function of them: each step multiplies every state by a fixed vector and
-    sums. Flattened to {mask * dim + k: coeff}, the joined states of each
-    option searched at a gap go into that gap's RankTracker first. The search
-    is depth first and returns at its first nonzero value, so every earlier
-    entry of a tracker belongs to a subtree that was searched in full and
-    vanished. An option whose states lie in their span therefore vanishes
-    too, and it is skipped when `add` finds it dependent. This covers equal
-    states in any order and their multiples. A pinned deleted gap has one
-    option and its states are the extension of the parent's, so it is not
-    recorded. Skipped options are exactly ones the plain search finds empty
-    or vanishing, so the first witness is the same."""
+    Only work that can change the answer is done. Every product is read from
+    right_products: at each gap one pass over the states' coordinates sums
+    each connector's joined states, flattened to {mask * dim + k: coeff}, and
+    a connector that no coordinate reaches is not tried. The DP reads the
+    alternating vectors' rows of the same table. Within one alternating tuple
+    the subtree below a gap depends only on the gap and the joined states
+    {mask: vector}, and every value it reaches is a linear function of them:
+    each step multiplies every state by a fixed vector and sums. The
+    flattened joined states of each option searched at a gap go into that
+    gap's RankTracker first. The search is depth first and returns at its
+    first nonzero value, so every earlier entry of a tracker belongs to a
+    subtree that was searched in full and vanished. An option whose states
+    lie in their span therefore vanishes too, and it is skipped when `add`
+    finds it dependent; only accepted options are unflattened. This covers
+    equal states in any order and their multiples. A pinned deleted gap has
+    one option and its states are the extension of the parent's, so it is
+    not recorded. Skipped options are exactly ones the plain search finds
+    empty or vanishing, so the first witness is the same."""
     alt_dom = kind_basis(A, kind)
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
@@ -170,8 +172,9 @@ def _first_nonzero(A, m, kind, deleted, config):
         raise SizeCapError(
             f"barred Capelli sweep at rank {m} needs {nominal} evaluations, cap is {config.cap_evals}"
         )
-    alt_dom_left = left_supports(A, kind)
-    conn_left = left_supports(A, ANY)
+    table = right_products(A)
+    # kind_basis(A, ANY) lists the kinds in KINDS order, so alt_dom starts at offset
+    offset = 0 if kind == ANY else sum(len(kind_basis(A, k)) for k in KINDS[: KINDS.index(kind)])
     full = (1 << m) - 1
     dim = A.dim
 
@@ -183,33 +186,35 @@ def _first_nonzero(A, m, kind, deleted, config):
                 conn = [conn_dom[c] for c in choices if c is not None]
                 return dels, conn, v
             return None
-        forced = deleted is not None and g in deleted
-        if forced:
-            options = [None]
-        else:
-            supp = set().union(*states.values())
-            options = [c for c, left in enumerate(conn_left) if not left.isdisjoint(supp)]
-            if deleted is None:
-                options.append(None)
-        for opt in options:
+        if deleted is not None and g in deleted:
+            nxt = _extend_alternating(states, alt_rows, m)
+            return rec(g + 1, nxt, choices + [None]) if nxt else None
+        sums = {}
+        for mask, v in states.items():
+            base = mask * dim
+            for i, a in v.items():
+                for c, items in table[i]:
+                    flat = sums.get(c)
+                    if flat is None:
+                        flat = sums[c] = {}
+                    for k, x in items:
+                        key = base + k
+                        flat[key] = flat.get(key, 0) + a * x
+        options = [(c, sums[c]) for c in sorted(sums)]
+        if deleted is None:
+            options.append((None, {mask * dim + k: c for mask, v in states.items() for k, c in v.items()}))
+        for opt, flat in options:
+            if not spans[g].add(flat):
+                continue
             if opt is None:
                 joined = states
             else:
                 joined = {}
-                x, left = conn_dom[opt], conn_left[opt]
-                for mask, v in states.items():
-                    if left.isdisjoint(v):
-                        continue
-                    w = sparse_mul(A, v, x)
-                    if w:
-                        joined[mask] = w
-                if not joined:
-                    continue
-            if not forced:
-                flat = {mask * dim + k: c for mask, v in joined.items() for k, c in v.items()}
-                if not spans[g].add(flat):
-                    continue
-            nxt = _extend_alternating(A, joined, alt_vecs, m, alt_left)
+                for key, x in flat.items():
+                    if x:
+                        mask, k = divmod(key, dim)
+                        joined.setdefault(mask, {})[k] = x
+            nxt = _extend_alternating(joined, alt_rows, m)
             hit = rec(g + 1, nxt, choices + [opt]) if nxt else None
             if hit:
                 return hit
@@ -217,7 +222,8 @@ def _first_nonzero(A, m, kind, deleted, config):
 
     for alt_idx in combinations(range(len(alt_dom)), m):
         alt_vecs = [alt_dom[t] for t in alt_idx]
-        alt_left = [alt_dom_left[t] for t in alt_idx]
+        slot = {offset + a: t for t, a in enumerate(alt_idx)}
+        alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
         spans = [RankTracker() for _ in range(m - 1)]
         states = {1 << t: alt_vecs[t] for t in range(m)}
         hit = rec(0, states, [])

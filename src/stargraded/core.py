@@ -114,7 +114,7 @@ class StarSuperAlgebra:
         self._hom = None
         self._radical = None
         self._kind_bases = {}
-        self._left_supports = {}
+        self._right_products = None
 
     def pair_rows(self):
         """Row table of the products: pair_rows()[i][j] is mul_pairs(i, j) when nonzero."""

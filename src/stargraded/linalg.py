@@ -183,6 +183,13 @@ class RankTracker:
         sparse dict {index: coeff}; returns True if it increased the rank."""
         rows = self.rows
         if isinstance(vec, dict):
+            if len(vec) == 1:
+                # {j: x} against a stored unit row e_j: dependent, and full
+                # elimination would leave every row as it is
+                ((j, x),) = vec.items()
+                entry = rows.get(j)
+                if x and entry is not None and len(entry[0]) == 1:
+                    return False
             den = lcm(*{x.denominator for x in vec.values()})
             w = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
             out = {}  # final entries, each left of every live one, ascending

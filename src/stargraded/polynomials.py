@@ -188,6 +188,7 @@ def evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs):
         raise ValueError(
             f"rank {m} with {len(kept)} connectors got {len(alt_vecs)} and {len(conn_vecs)} vectors"
         )
+    rows = {}  # right_row of alt_vecs at each coordinate the states reach
     states = {1 << t: dict(alt_vecs[t]) for t in range(m)}
     conn_at = {g: conn_vecs[r] for r, g in enumerate(kept)}
     for g in range(m - 1):
@@ -200,32 +201,39 @@ def evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs):
                     joined[mask] = w
         else:
             joined = states
-        states = _extend_alternating(A, joined, alt_vecs, m)
+        for v in joined.values():
+            for i in v.keys() - rows.keys():
+                rows[i] = right_row(A, i, alt_vecs)
+        states = _extend_alternating(joined, rows, m)
         if not states:
             return {}
     return states.get((1 << m) - 1, {})
 
 
-def _extend_alternating(A, joined, alt_vecs, m, alt_left=None):
-    """Append each missing alternating index to every state. alt_left, when
-    given, holds each alternating vector's left support {i : e_i x != 0}; a
-    state whose support misses it has a zero product and is skipped."""
+def right_row(A, i, vecs):
+    """The nonzero products e_i x of coordinate i with the vectors x of vecs, as
+    (index in vecs, items of e_i x) pairs in the order of vecs. A state v has
+    v x = sum over i of v_i e_i x."""
+    return [(t, tuple(w.items())) for t, x in enumerate(vecs) if (w := sparse_mul(A, {i: 1}, x))]
+
+
+def _extend_alternating(joined, rows, m):
+    """Append each missing alternating index to every state. rows[i] is the
+    right_row of coordinate i over the alternating vectors, for every
+    coordinate the states reach; one with no nonzero product adds nothing."""
     new = {}
     for mask, v in joined.items():
-        for t in range(m):
-            if mask >> t & 1:
-                continue
-            if alt_left is not None and alt_left[t].isdisjoint(v):
-                continue
-            w = sparse_mul(A, v, alt_vecs[t])
-            if not w:
-                continue
-            sign = -1 if bin(mask >> (t + 1)).count("1") % 2 else 1
-            tgt = new.setdefault(mask | (1 << t), {})
-            for k, c in w.items():
-                nc = _as_num(tgt.get(k, 0) + sign * c)
-                if nc == 0:
-                    tgt.pop(k, None)
-                else:
-                    tgt[k] = nc
-    return {mask: v for mask, v in new.items() if v}
+        for i, a in v.items():
+            for t, items in rows[i]:
+                if mask >> t & 1:
+                    continue
+                f = -a if (mask >> (t + 1)).bit_count() & 1 else a
+                tgt = new.setdefault(mask | (1 << t), {})
+                for k, c in items:
+                    tgt[k] = tgt.get(k, 0) + f * c
+    out = {}
+    for mask, w in new.items():
+        w = {k: c if isinstance(c, int) else _as_num(c) for k, c in w.items() if c != 0}
+        if w:
+            out[mask] = w
+    return out

@@ -4,7 +4,7 @@ the integer elimination against the dense Fraction Gauss-Jordan it replaced."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stargraded as sg
@@ -281,7 +281,11 @@ def test_rank_tracker_rows_are_primitive_echelon():
 def rows_with_dicts(draw):
     """Rational rows, and each row again as a dict in shuffled key order that
     keeps some of the row's zeros. Mostly zero rows put non-pivot entries left
-    of a later pivot, the case where the reduced entries are scaled too."""
+    of a later pivot, the case where the reduced entries are scaled too.
+
+    One-entry vectors {j: x} are mixed in: x zero, an int or a Fraction, at a
+    column with no pivot (which stores the unit row e_j), at a unit row and at
+    a pivot whose row has more entries. The few columns make repeats common."""
     mostly_zero = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3)])
     rows = draw(st.one_of(
         matrices(6),
@@ -297,6 +301,15 @@ def rows_with_dicts(draw):
     for row in rows:
         kept = [(j, x) for j, x in enumerate(row) if x or draw(st.booleans())]
         dicts.append(dict(draw(st.permutations(kept))))
+    m = len(rows[0])
+    values = st.sampled_from([0, Fraction(0), 1, -3, Fraction(2, 3), Fraction(-5, 7)])
+    single = st.tuples(st.integers(0, m - 1), values)
+    for j, x in draw(st.lists(single, max_size=8)):
+        at = draw(st.integers(0, len(rows)))
+        row = [0] * m
+        row[j] = x
+        rows.insert(at, row)
+        dicts.insert(at, {j: x})
     return rows, dicts
 
 
@@ -305,12 +318,20 @@ def tracker_state(tr):
 
 
 @given(rows_with_dicts())
+@example((
+    [[1, 0, 2], [0, 1, 0], [0, 3, 0], [0, Fraction(2, 3), 0], [0, 0, 0], [5, 0, 0]],
+    [{0: 1, 2: 2}, {1: 1}, {1: 3}, {1: Fraction(2, 3)}, {1: 0}, {0: 5}],
+))
 @settings(max_examples=200, deadline=None)
 def test_rank_tracker_reads_a_dict_as_its_dense_row(case):
+    # the example adds, after a row with pivot 0 and the unit row e_1: one-entry
+    # vectors at the unit row (int, then Fraction), one with a zero value, and
+    # one at pivot 0, whose row is not a unit row
     rows, dicts = case
     dense, sparse = RankTracker(), RankTracker()
-    assert [dense.add(r) for r in rows] == [sparse.add(d) for d in dicts]
-    assert tracker_state(dense) == tracker_state(sparse)
+    for row, vec in zip(rows, dicts):
+        assert dense.add(row) == sparse.add(vec)
+        assert tracker_state(dense) == tracker_state(sparse)
 
 
 def test_rank_tracker_dict_keys_are_indices():

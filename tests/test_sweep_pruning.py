@@ -1,5 +1,5 @@
 """The pruned barred sweep against the plain one, lazily built Capelli terms,
-and a deterministic bound on the products the sweep makes."""
+and deterministic counts of the work the sweep does."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from test_codim_orbits import rescaled, scales_for
 
 import stargraded as sg
 from stargraded import analysis
@@ -14,7 +15,7 @@ from stargraded.analysis import RunConfig, _first_nonzero, _raw_witness, kind_ba
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
-from stargraded.linalg import _as_num
+from stargraded.linalg import RankTracker, _as_num
 from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member, perm_sign
 
 UNCAPPED = RunConfig(cap_evals=10**12)
@@ -126,6 +127,27 @@ def test_sweep_matches_reference_on_m21():
     assert witnesses == A.dim + sum(sg.hom_dims(A))
 
 
+@pytest.mark.parametrize("salt", [None, 1])
+def test_sweep_matches_reference_on_fraction_structure_constants(salt):
+    # every basis vector times 1/5 makes every structure constant a Fraction, so
+    # the sums read from the right-product table are Fractions. Mixed scales
+    # (1, -1, 2, -2, 1/5, -1/5) make some of those sums integral, and these must
+    # come out as ints, as sparse_mul leaves them
+    scales = [Fraction(1, 5)] * 9 if salt is None else scales_for(9, salt)
+    A = rescaled(parse_algebra_spec("m_hl_transpose:2,1"), scales)
+    values = []
+    for kind in KINDS + (ANY,):
+        for m in range(1, len(kind_basis(A, kind)) + 2):
+            raw = same_sweep(A, m, kind, None)
+            if raw is not None:
+                values.extend(raw[-1].values())
+            # pinned untyped members from rank 6 on take the reference seconds
+            if kind != ANY or m < 6:
+                same_sweep(A, m, kind, pinned_patterns(m)[1])
+    assert any(isinstance(c, Fraction) for c in values) and any(isinstance(c, int) for c in values)
+    assert all(isinstance(c, int) or c.denominator != 1 for c in values)
+
+
 @pytest.mark.parametrize("spec", ["mn_cmn_star:2,t", "m_hl_exchange:1,1"])
 def test_sweep_matches_reference_on_simples(spec):
     A = parse_algebra_spec(spec)
@@ -221,31 +243,57 @@ def test_high_rank_member_builds_no_terms():
 # --------------------------------------------------------------- work count
 
 
-def test_rank6_zplus_proof_product_count(sparse_mul_calls):
-    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
-    assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=10**12))
-    # the unpruned sweep makes 1,671,136 products here, and a sweep that skips
-    # only exact repeats of the joined states about 96,500
-    assert 0 < sparse_mul_calls[0] < 60_000
+@pytest.fixture
+def sweep_work(monkeypatch, sparse_mul_calls):
+    """A callable that zeroes and then reads the work counts (sparse_mul,
+    RankTracker.add and _extend_alternating calls) of the code run in between."""
+    counts = {"add": 0, "extend": 0}
+    add, extend = RankTracker.add, analysis._extend_alternating
 
+    def counted_add(self, vec):
+        counts["add"] += 1
+        return add(self, vec)
 
-def test_sweep_work_is_the_same_on_every_signed_relabeling(monkeypatch, sparse_mul_calls):
-    # a signed relabeling rescales the joined states' coordinates by +-1, which
-    # changes no span, so the span-pruned sweep does the same work on each
-    extend = analysis._extend_alternating
-    extends = [0]
-
-    def counted(*args):
-        extends[0] += 1
+    def counted_extend(*args):
+        counts["extend"] += 1
         return extend(*args)
 
-    monkeypatch.setattr(analysis, "_extend_alternating", counted)
+    monkeypatch.setattr(RankTracker, "add", counted_add)
+    monkeypatch.setattr(analysis, "_extend_alternating", counted_extend)
+
+    def read():
+        work = (sparse_mul_calls[0], counts["add"], counts["extend"])
+        sparse_mul_calls[0] = counts["add"] = counts["extend"] = 0
+        return work
+
+    return read
+
+
+def test_rank6_zplus_proof_product_count(sweep_work):
+    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    # the kind bases are eliminated with RankTracker too; count only the sweep
+    kind_basis(A, "z+"), kind_basis(A, ANY)
+    sweep_work()
+    assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=10**12))
+    products, adds, extends = sweep_work()
+    # every product is read from the right-product table, whose 36 x 36 entries
+    # (coordinates by homogeneous basis vectors) take 1,296 products. Before the
+    # table the span-pruned sweep made 54,532, a sweep that skips only exact
+    # repeats of the joined states about 96,500 and the unpruned one 1,671,136
+    assert 0 < products < 2_000
+    assert adds == 40_528
+    assert extends == 12_596
+
+
+def test_sweep_work_is_the_same_on_every_signed_relabeling(sweep_work):
+    # a signed relabeling rescales the joined states' coordinates by +-1, which
+    # changes no span, so the span-pruned sweep does the same work on each
     UT3 = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
     counts = {}
     for seed in (1, 2, 3):
         A = relabel(UT3, seed)
         for m, identity in ((5, False), (6, True)):
-            sparse_mul_calls[0] = extends[0] = 0
+            sweep_work()
             assert sg.barred_rank_is_identity(A, "z+", m, UNCAPPED) is identity
-            counts.setdefault(m, set()).add((sparse_mul_calls[0], extends[0]))
+            counts.setdefault(m, set()).add(sweep_work())
     assert all(len(seen) == 1 for seen in counts.values()), counts
