@@ -143,24 +143,30 @@ def _first_nonzero(A, m, kind, deleted, config):
     lexicographic, then per gap each connector index ascending, skip last.
     Returns a raw witness or None when every evaluation vanishes.
 
+    The search holds one flat form from start to end: the states, each gap's
+    option vectors and the subset DP's input and output are all dicts
+    {mask * dim + k: coeff} without zero entries. The value at the last gap
+    is the entries of the full mask, at keys from full * dim on, shifted down
+    by full * dim.
+
     Only work that can change the answer is done. Every product is read from
     right_products: at each gap one pass over the states' coordinates sums
-    each connector's joined states, flattened to {mask * dim + k: coeff}, and
-    a connector that no coordinate reaches is not tried. The DP reads the
-    alternating vectors' rows of the same table. Within one alternating tuple
-    the subtree below a gap depends only on the gap and the joined states
-    {mask: vector}, and every value it reaches is a linear function of them:
-    each step multiplies every state by a fixed vector and sums. The
-    flattened joined states of each option searched at a gap go into that
-    gap's RankTracker first. The search is depth first and returns at its
-    first nonzero value, so every earlier entry of a tracker belongs to a
-    subtree that was searched in full and vanished. An option whose states
-    lie in their span therefore vanishes too, and it is skipped when `add`
-    finds it dependent; only accepted options are unflattened. This covers
-    equal states in any order and their multiples. A pinned deleted gap has
-    one option and its states are the extension of the parent's, so it is
-    not recorded. Skipped options are exactly ones the plain search finds
-    empty or vanishing, so the first witness is the same."""
+    each connector's joined states, and a connector that no coordinate
+    reaches is not tried. The DP reads the alternating vectors' rows of the
+    same table. Within one alternating tuple the subtree below a gap depends
+    only on the gap and the joined states, and every value it reaches is a
+    linear function of them: each step multiplies every state by a fixed
+    vector and sums. The joined states of each option searched at a gap go
+    into that gap's RankTracker first; the deleted-gap option is the states
+    themselves. The search is depth first and returns at its first nonzero
+    value, so every earlier entry of a tracker belongs to a subtree that was
+    searched in full and vanished. An option whose states lie in their span
+    therefore vanishes too, and it is skipped when `add` finds it dependent;
+    an accepted one goes straight into the DP. This covers equal states in
+    any order and their multiples. A pinned deleted gap has one option and
+    its states are the extension of the parent's, so it is not recorded.
+    Skipped options are exactly ones the plain search finds empty or
+    vanishing, so the first witness is the same."""
     alt_dom = kind_basis(A, kind)
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
@@ -175,46 +181,40 @@ def _first_nonzero(A, m, kind, deleted, config):
     table = right_products(A)
     # kind_basis(A, ANY) lists the kinds in KINDS order, so alt_dom starts at offset
     offset = 0 if kind == ANY else sum(len(kind_basis(A, k)) for k in KINDS[: KINDS.index(kind)])
-    full = (1 << m) - 1
     dim = A.dim
+    top = ((1 << m) - 1) * dim  # the full mask's first key
 
     def rec(g, states, choices):
         if g == m - 1:
-            v = states.get(full)
-            if v:
+            value = {key - top: c for key, c in states.items() if key >= top}
+            if value:
                 dels = frozenset(i for i, c in enumerate(choices) if c is None)
                 conn = [conn_dom[c] for c in choices if c is not None]
-                return dels, conn, v
+                return dels, conn, value
             return None
         if deleted is not None and g in deleted:
-            nxt = _extend_alternating(states, alt_rows, m)
+            nxt = _extend_alternating(states, alt_rows, dim)
             return rec(g + 1, nxt, choices + [None]) if nxt else None
         sums = {}
-        for mask, v in states.items():
-            base = mask * dim
-            for i, a in v.items():
-                for c, items in table[i]:
-                    flat = sums.get(c)
-                    if flat is None:
-                        flat = sums[c] = {}
-                    for k, x in items:
-                        key = base + k
-                        flat[key] = flat.get(key, 0) + a * x
+        for key, a in states.items():
+            i = key % dim
+            base = key - i
+            for c, items in table[i]:
+                flat = sums.get(c)
+                if flat is None:
+                    flat = sums[c] = {}
+                for k, x in items:
+                    k += base
+                    flat[k] = flat.get(k, 0) + a * x
         options = [(c, sums[c]) for c in sorted(sums)]
         if deleted is None:
-            options.append((None, {mask * dim + k: c for mask, v in states.items() for k, c in v.items()}))
+            options.append((None, states))
         for opt, flat in options:
+            if opt is not None:
+                flat = {key: x for key, x in flat.items() if x}
             if not spans[g].add(flat):
                 continue
-            if opt is None:
-                joined = states
-            else:
-                joined = {}
-                for key, x in flat.items():
-                    if x:
-                        mask, k = divmod(key, dim)
-                        joined.setdefault(mask, {})[k] = x
-            nxt = _extend_alternating(joined, alt_rows, m)
+            nxt = _extend_alternating(flat, alt_rows, dim)
             hit = rec(g + 1, nxt, choices + [opt]) if nxt else None
             if hit:
                 return hit
@@ -225,7 +225,7 @@ def _first_nonzero(A, m, kind, deleted, config):
         slot = {offset + a: t for t, a in enumerate(alt_idx)}
         alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
         spans = [RankTracker() for _ in range(m - 1)]
-        states = {1 << t: alt_vecs[t] for t in range(m)}
+        states = {(dim << t) + k: c for t, v in enumerate(alt_vecs) for k, c in v.items()}
         hit = rec(0, states, [])
         if hit:
             dels, conn, value = hit

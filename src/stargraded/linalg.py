@@ -9,6 +9,7 @@ from operator import attrgetter
 
 _denominator = attrgetter("denominator")
 _numerator = attrgetter("numerator")
+_is_int = int.__instancecheck__
 
 
 def _as_num(x):
@@ -163,8 +164,10 @@ class RankTracker:
     pivot: codimension columns fill in as they are reduced, and there a list
     beats a dict. A dict stays sparse: the next column is the least live
     index, so only pivots the vector reaches are visited and a vector with a
-    few nonzeros of a long space costs a few steps. `Subspace` rows and the
-    barred sweep's joined states take this path."""
+    few nonzeros of a long space costs a few steps. A one-entry dict at a free
+    column or at a stored unit row is settled without elimination, and a dict
+    of ints is not rescaled. `Subspace` rows and the barred sweep's joined
+    states take this path."""
 
     __slots__ = ("pivots", "rows")
 
@@ -184,14 +187,24 @@ class RankTracker:
         rows = self.rows
         if isinstance(vec, dict):
             if len(vec) == 1:
-                # {j: x} against a stored unit row e_j: dependent, and full
-                # elimination would leave every row as it is
+                # {j: x} at a free column is the new primitive row e_j, and
+                # against a stored unit row e_j it is dependent: full
+                # elimination would leave exactly that
                 ((j, x),) = vec.items()
-                entry = rows.get(j)
-                if x and entry is not None and len(entry[0]) == 1:
+                if not x:
                     return False
-            den = lcm(*{x.denominator for x in vec.values()})
-            w = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+                entry = rows.get(j)
+                if entry is None:
+                    insort(self.pivots, j)
+                    rows[j] = ([j], [1])
+                    return True
+                if len(entry[0]) == 1:
+                    return False
+            if all(map(_is_int, vec.values())):
+                w = {j: x for j, x in vec.items() if x}
+            else:
+                den = lcm(*{x.denominator for x in vec.values()})
+                w = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
             out = {}  # final entries, each left of every live one, ascending
             last = self.pivots[-1] if self.pivots else -1
             while w:

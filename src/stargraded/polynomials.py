@@ -179,35 +179,44 @@ def evaluate(A, p, assignment):
 def evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs):
     """Value of one Capelli member via the subset dynamic program.
 
-    States map an index subset to the sum over orderings of that subset with
-    the connectors seen so far interleaved; appending index t last costs the
-    sign of moving t past the larger members."""
+    The states are one flat dict {mask * dim + k: coeff}: the coordinate k of
+    the sum over orderings of the index subset mask with the connectors seen
+    so far interleaved. Appending index t last costs the sign of moving t past
+    the larger members."""
     m = shape.rank
     kept = shape.kept_gaps
     if len(alt_vecs) != m or len(conn_vecs) != len(kept):
         raise ValueError(
             f"rank {m} with {len(kept)} connectors got {len(alt_vecs)} and {len(conn_vecs)} vectors"
         )
+    dim = A.dim
     rows = {}  # right_row of alt_vecs at each coordinate the states reach
-    states = {1 << t: dict(alt_vecs[t]) for t in range(m)}
-    conn_at = {g: conn_vecs[r] for r, g in enumerate(kept)}
+    states = {(dim << t) + k: c for t, v in enumerate(alt_vecs) for k, c in v.items() if c}
+    conn_at = dict(zip(kept, conn_vecs))
     for g in range(m - 1):
-        if g in conn_at:
-            x = conn_at[g]
+        x = conn_at.get(g)
+        if x is not None:
+            prods = {}  # e_i x at each coordinate i the states reach
             joined = {}
-            for mask, v in states.items():
-                w = sparse_mul(A, v, x)
-                if w:
-                    joined[mask] = w
-        else:
-            joined = states
-        for v in joined.values():
-            for i in v.keys() - rows.keys():
+            for key, a in states.items():
+                i = key % dim
+                w = prods.get(i)
+                if w is None:
+                    w = prods[i] = sparse_mul(A, {i: 1}, x)
+                base = key - i
+                for k, c in w.items():
+                    k += base
+                    joined[k] = joined.get(k, 0) + a * c
+            states = {key: c for key, c in joined.items() if c}
+        for key in states:
+            i = key % dim
+            if i not in rows:
                 rows[i] = right_row(A, i, alt_vecs)
-        states = _extend_alternating(joined, rows, m)
+        states = _extend_alternating(states, rows, dim)
         if not states:
             return {}
-    return states.get((1 << m) - 1, {})
+    top = ((1 << m) - 1) * dim
+    return {key - top: c for key, c in states.items() if key >= top}
 
 
 def right_row(A, i, vecs):
@@ -217,23 +226,27 @@ def right_row(A, i, vecs):
     return [(t, tuple(w.items())) for t, x in enumerate(vecs) if (w := sparse_mul(A, {i: 1}, x))]
 
 
-def _extend_alternating(joined, rows, m):
-    """Append each missing alternating index to every state. rows[i] is the
-    right_row of coordinate i over the alternating vectors, for every
-    coordinate the states reach; one with no nonzero product adds nothing."""
+def _extend_alternating(states, rows, dim):
+    """Append each missing alternating index to every state.
+
+    states and the result are flat dicts {mask * dim + k: coeff} without zero
+    entries: the entry at key is coordinate i = key % dim of the state of the
+    index subset mask = key // dim. rows[i] is the right_row of coordinate i
+    over the alternating vectors, for every coordinate the states reach; one
+    with no nonzero product adds nothing. Appending t to mask multiplies by
+    (-1)^(members of mask above t), and coordinate k of the product lands at
+    the key of mask | 2^t, key - i + (dim << t) + k."""
     new = {}
-    for mask, v in joined.items():
-        for i, a in v.items():
-            for t, items in rows[i]:
-                if mask >> t & 1:
-                    continue
-                f = -a if (mask >> (t + 1)).bit_count() & 1 else a
-                tgt = new.setdefault(mask | (1 << t), {})
-                for k, c in items:
-                    tgt[k] = tgt.get(k, 0) + f * c
-    out = {}
-    for mask, w in new.items():
-        w = {k: c if isinstance(c, int) else _as_num(c) for k, c in w.items() if c != 0}
-        if w:
-            out[mask] = w
-    return out
+    for key, a in states.items():
+        i = key % dim
+        mask = key // dim
+        base = key - i
+        for t, items in rows[i]:
+            if mask >> t & 1:
+                continue
+            f = -a if (mask >> t).bit_count() & 1 else a
+            tb = base + (dim << t)
+            for k, c in items:
+                k += tb
+                new[k] = new.get(k, 0) + f * c
+    return {key: c if isinstance(c, int) else _as_num(c) for key, c in new.items() if c}

@@ -322,11 +322,27 @@ def tracker_state(tr):
     [[1, 0, 2], [0, 1, 0], [0, 3, 0], [0, Fraction(2, 3), 0], [0, 0, 0], [5, 0, 0]],
     [{0: 1, 2: 2}, {1: 1}, {1: 3}, {1: Fraction(2, 3)}, {1: 0}, {0: 5}],
 ))
+@example((
+    [[0, 0, -3, 0], [0, 0, 0, Fraction(3, 4)], [0, Fraction(-2, 5), 0, 0], [2, 0, 6, 0]],
+    [{2: -3}, {3: Fraction(3, 4)}, {1: Fraction(-2, 5)}, {0: 2, 2: 6}],
+))
+@example((
+    [[2, 0, -4, 6], [2, 0, Fraction(-4, 1), 6], [0, 3, 0, 9]],
+    [{0: 2, 2: -4, 3: 6}, {3: 6, 0: 2, 2: Fraction(-4, 1)}, {1: 3, 3: 9, 0: 0}],
+))
+@example((
+    [[2, 0, Fraction(-4, 1), 6], [2, 0, -4, 6], [0, 3, 0, 9]],
+    [{0: 2, 2: Fraction(-4, 1), 3: 6}, {3: 6, 0: 2, 2: -4}, {1: 3, 3: 9, 0: 0}],
+))
 @settings(max_examples=200, deadline=None)
 def test_rank_tracker_reads_a_dict_as_its_dense_row(case):
-    # the example adds, after a row with pivot 0 and the unit row e_1: one-entry
-    # vectors at the unit row (int, then Fraction), one with a zero value, and
-    # one at pivot 0, whose row is not a unit row
+    # the first example adds, after a row with pivot 0 and the unit row e_1:
+    # one-entry vectors at the unit row (int, then Fraction), one with a zero
+    # value, and one at pivot 0, whose row is not a unit row. The second adds
+    # one-entry vectors at free columns: a negative int, a Fraction, and a
+    # negative Fraction left of the stored pivots; then a row that reaches a
+    # stored unit row. The last two add an all-int dict and the same dict with
+    # one value written as Fraction(n, 1), each of the two first once
     rows, dicts = case
     dense, sparse = RankTracker(), RankTracker()
     for row, vec in zip(rows, dicts):

@@ -1,12 +1,15 @@
 """Typed multilinear polynomials: construction, signs, and the two evaluators."""
 
 import random
+from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_codim_orbits import rescaled
 
 import stargraded as sg
 from stargraded.core import to_sparse
@@ -118,25 +121,43 @@ def test_alternating_in_equal_arguments_gives_zero(m2):
     assert evaluate(m2, p, [v, w, v] + c) == [0, 0, 0, 0]
 
 
-def naive_fast_pair(A, m, deleted, rng):
+def naive_fast_pair(A, m, deleted, rng, entries=range(-2, 3)):
     shape = CapelliShape(m, ANY, frozenset(deleted))
     p = capelli_member(m, ANY, deleted)
-    alt = [to_sparse([rng.randint(-2, 2) for _ in range(A.dim)]) for _ in range(m)]
-    conn = [to_sparse([rng.randint(-2, 2) for _ in range(A.dim)]) for _ in shape.kept_gaps]
+    alt = [to_sparse([rng.choice(entries) for _ in range(A.dim)]) for _ in range(m)]
+    conn = [to_sparse([rng.choice(entries) for _ in range(A.dim)]) for _ in shape.kept_gaps]
     slow = evaluate_sparse(A, p, alt + conn)
     fast = evaluate_alternating_fast(A, shape, alt, conn)
     return slow, fast
+
+
+MIXED = (-2, -1, 0, 0, 1, 2, Fraction(1, 3), Fraction(-3, 2))
+
+
+@cache
+def fast_algebras():
+    """M_{1,1} on int vectors; then the flat DP's keys at dim 9, and M_{1,1}
+    with every basis vector times 1/5, where sums of Fraction products can be
+    integral. Both take vectors with some Fraction entries."""
+    M11 = sg.m_hl_transpose(1, 1)
+    return (
+        (M11, range(-2, 3)),
+        (sg.m_hl_transpose(2, 1), MIXED),
+        (rescaled(M11, [Fraction(1, 5)] * 4), MIXED),
+    )
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_fast_evaluator_matches_naive(seed):
     rng = random.Random(seed)
-    A = sg.m_hl_transpose(1, 1)
-    m = rng.randint(1, 4)
-    deleted = [g for g in range(m - 1) if rng.random() < 0.4]
-    slow, fast = naive_fast_pair(A, m, deleted, rng)
-    assert slow == fast
+    for A, entries in fast_algebras():
+        m = rng.randint(1, 4)
+        deleted = [g for g in range(m - 1) if rng.random() < 0.4]
+        slow, fast = naive_fast_pair(A, m, deleted, rng, entries)
+        assert slow == fast
+        # integral values come out as ints, as the term evaluator leaves them
+        assert all(isinstance(c, int) or c.denominator != 1 for c in fast.values())
 
 
 @given(st.integers(0, 10_000))
