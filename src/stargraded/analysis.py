@@ -1,10 +1,9 @@
 """Identity checking, Capelli thresholds, codimension sequences, and exponents."""
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, factorial, perm, prod
+from math import factorial, perm, prod
 from operator import itemgetter
 
 from .core import (
@@ -32,15 +31,14 @@ from .triangular import is_trivially_graded, ut_star
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps and reproducibility knobs shared by the checking routines.
+    """Caps shared by the checking routines; both are ints of at least 1.
 
-    cap_n bounds codimension degrees and cap_evals nominal enumeration sizes
-    before a computation is refused; both are ints of at least 1. seed drives
-    every randomized fallback."""
+    cap_n bounds codimension degrees. cap_evals bounds the barred sweep's
+    counted work, which is refused once it passes the cap, and the nominal
+    sizes of the other enumerations, which are refused before they start."""
 
     cap_n: int = 6
     cap_evals: int = 10**8
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("cap_n", "cap_evals"):
@@ -141,7 +139,14 @@ def _first_nonzero(A, m, kind, deleted, config):
     deleted=None sweeps every deletion pattern in one shared-prefix search;
     a frozenset pins a single member. Canonical order: alternating tuples
     lexicographic, then per gap each connector index ascending, skip last.
-    Returns a raw witness or None when every evaluation vanishes.
+    Returns a raw witness, or None when every evaluation vanishes, as it does
+    at once when m exceeds the kind's dimension.
+
+    The search is bounded by the work it does, not by a nominal count: it
+    charges one unit per alternating tuple, which covers the member with
+    every gap deleted, and len(options) at each gap before its options are
+    tried. Once the total passes config.cap_evals it raises SizeCapError,
+    naming the kind, the rank and the work done.
 
     The search holds one flat form from start to end: the states, each gap's
     option vectors and the subset DP's input and output are all dicts
@@ -171,13 +176,17 @@ def _first_nonzero(A, m, kind, deleted, config):
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
         return None
-    per_gap = len(conn_dom) + 1 if deleted is None else len(conn_dom)
-    gaps = m - 1 if deleted is None else m - 1 - len(deleted)
-    nominal = comb(len(alt_dom), m) * (per_gap**gaps if m > 1 else 1)
-    if nominal > config.cap_evals:
-        raise SizeCapError(
-            f"barred Capelli sweep at rank {m} needs {nominal} evaluations, cap is {config.cap_evals}"
-        )
+    work = 0
+
+    def charge(units):
+        nonlocal work
+        work += units
+        if work > config.cap_evals:
+            raise SizeCapError(
+                f"barred Capelli sweep of kind {kind} at rank {m} did {work} units of work,"
+                f" over the cap {config.cap_evals}"
+            )
+
     table = right_products(A)
     # kind_basis(A, ANY) lists the kinds in KINDS order, so alt_dom starts at offset
     offset = 0 if kind == ANY else sum(len(kind_basis(A, k)) for k in KINDS[: KINDS.index(kind)])
@@ -209,6 +218,7 @@ def _first_nonzero(A, m, kind, deleted, config):
         options = [(c, sums[c]) for c in sorted(sums)]
         if deleted is None:
             options.append((None, states))
+        charge(len(options))
         for opt, flat in options:
             if opt is not None:
                 flat = {key: x for key, x in flat.items() if x}
@@ -221,6 +231,7 @@ def _first_nonzero(A, m, kind, deleted, config):
         return None
 
     for alt_idx in combinations(range(len(alt_dom)), m):
+        charge(1)
         alt_vecs = [alt_dom[t] for t in alt_idx]
         slot = {offset + a: t for t, a in enumerate(alt_idx)}
         alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
@@ -233,60 +244,7 @@ def _first_nonzero(A, m, kind, deleted, config):
     return None
 
 
-def _random_probe(A, m, kind, deleted, config, tries=512):
-    """Seeded random small-combination assignments; a nonzero value proves a
-    member non-identity when the exhaustive sweep would blow the budget."""
-    alt_dom = kind_basis(A, kind)
-    conn_dom = kind_basis(A, ANY)
-    if m > len(alt_dom):
-        return None
-    key = sorted(deleted) if deleted is not None else "all"
-    rng = random.Random(f"{config.seed}|{m}|{kind}|{key}|probe")
-
-    def rand_vec(dom):
-        v = {}
-        for _ in range(rng.randint(1, min(3, len(dom)))):
-            c = rng.choice((-2, -1, 1, 2))
-            for r, x in dom[rng.randrange(len(dom))].items():
-                nc = v.get(r, 0) + c * x
-                if nc == 0:
-                    v.pop(r, None)
-                else:
-                    v[r] = nc
-        return v
-
-    for _ in range(tries):
-        if deleted is None:
-            dels = frozenset(g for g in range(m - 1) if rng.random() < 0.5)
-        else:
-            dels = deleted
-        shape = CapelliShape(m, kind, dels)
-        alt_vecs = [rand_vec(alt_dom) for _ in range(m)]
-        conn_vecs = [rand_vec(conn_dom) for _ in shape.kept_gaps]
-        value = evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs)
-        if value:
-            return _raw_witness(shape, alt_vecs, conn_vecs, value)
-    return None
-
-
-def _identity_or_witness(A, m, kind, deleted, config):
-    """None when every rank-m member vanishes identically; otherwise a raw witness.
-
-    The exhaustive sweep is authoritative; when it exceeds the budget a seeded
-    probe can still certify non-identity, but identity claims are never made
-    from probes."""
-    if m > len(kind_basis(A, kind)):
-        return None
-    try:
-        return _first_nonzero(A, m, kind, deleted, config)
-    except SizeCapError:
-        probe = _random_probe(A, m, kind, deleted, config)
-        if probe is not None:
-            return probe
-        raise
-
-
-def _build_witness(A, raw, config):
+def _build_witness(A, raw):
     shape, alt_vecs, conn_vecs, value = raw
     replay = evaluate_alternating_fast(A, shape, list(alt_vecs), list(conn_vecs))
     if replay != value:
@@ -312,10 +270,10 @@ def is_graded_identity(A, p, config=DEFAULT_CONFIG):
     alternating slots; generic polynomials run the same reduction over their
     declared alternating groups and enumerate the rest."""
     if p.shape is not None:
-        raw = _identity_or_witness(A, p.shape.rank, p.shape.kind, p.shape.deleted, config)
+        raw = _first_nonzero(A, p.shape.rank, p.shape.kind, p.shape.deleted, config)
         if raw is None:
             return WitnessReport(True, None)
-        return WitnessReport(False, _build_witness(A, raw, config))
+        return WitnessReport(False, _build_witness(A, raw))
     return _generic_identity(A, p, config)
 
 
@@ -381,15 +339,15 @@ def capelli_threshold(A, kind, search_cap=None, config=DEFAULT_CONFIG, barred=Tr
     witness = None
     threshold = None
     for m in range(1, cap + 1):
-        raw = _identity_or_witness(A, m, kind, deleted, config)
+        raw = _first_nonzero(A, m, kind, deleted, config)
         if raw is None:
             threshold = m
             break
-        witness = _build_witness(A, raw, config)
+        witness = _build_witness(A, raw)
     if threshold is None:
         raise ValueError(f"no identity rank up to {cap} for kind {kind}")
     for m in range(threshold + 1, cap + 1):
-        if _identity_or_witness(A, m, kind, deleted, config) is not None:
+        if _first_nonzero(A, m, kind, deleted, config) is not None:
             raise InternalInconsistencyError(f"identity at rank {threshold} but not at {m}")
     return ThresholdReport(kind, threshold, cap, witness)
 
@@ -401,7 +359,7 @@ def ordinary_capelli_threshold(A, search_cap=None, config=DEFAULT_CONFIG, barred
 
 def barred_rank_is_identity(A, kind, m, config=DEFAULT_CONFIG):
     """True when every deletion-pattern member at rank m is a graded identity."""
-    return _identity_or_witness(A, m, kind, None, config) is None
+    return _first_nonzero(A, m, kind, None, config) is None
 
 
 def threshold_offsets(spec, config=DEFAULT_CONFIG):

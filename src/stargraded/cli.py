@@ -78,14 +78,13 @@ def guarded(f):
 
 @click.group()
 @click.option("--cap-n", default=6, show_default=True, help="largest codimension degree")
-@click.option("--cap-evals", default=10**8, show_default=True, help="largest nominal enumeration")
-@click.option("--seed", default=0, show_default=True, help="seed for randomized fallbacks")
+@click.option("--cap-evals", default=10**8, show_default=True, help="barred sweep work budget; largest nominal enumeration")
 @click.option("--out", default=None, type=click.Path(), help="write the report here instead of stdout")
 @click.pass_context
 @guarded
-def main(ctx, cap_n, cap_evals, seed, out):
+def main(ctx, cap_n, cap_evals, out):
     """Exact constructions and identity checks for superalgebras with involution."""
-    ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals, seed=seed), out)
+    ctx.obj = (RunConfig(cap_n=cap_n, cap_evals=cap_evals), out)
 
 
 def subject_options(f):

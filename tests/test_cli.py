@@ -131,8 +131,8 @@ def test_verify_paper_suite_and_exit():
 
 
 def test_reports_are_byte_deterministic():
-    a = run("--seed", "3", "verify-paper", "--suite", "exponent")
-    b = run("--seed", "3", "verify-paper", "--suite", "exponent")
+    a = run("verify-paper", "--suite", "exponent")
+    b = run("verify-paper", "--suite", "exponent")
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
 
@@ -372,6 +372,17 @@ def test_codimension_cap_is_reached_past_the_dimension_cap():
     # evaluations do not
     res = run("--cap-evals", "30", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
     assert res.exit_code == 2 and "codimension sweep needs 48 evaluations" in res.output
+
+
+def test_barred_sweep_refusal_reports_its_work(tmp_path):
+    path = tmp_path / "ut3.json"
+    components = "+".join(["m_hl_transpose:1,1"] * 3)
+    assert run("--out", str(path), "ut", "--components", components).exit_code == 0
+    res = run("--cap-evals", "10000", "threshold", "--input", str(path), "--kind", "z+")
+    assert res.exit_code == 2
+    assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 6 did ")
+    work = int(res.output.split(" did ")[1].split()[0])
+    assert 10_000 < work <= 40_612
 
 
 def scaled_m11(tmp_path, coeff):

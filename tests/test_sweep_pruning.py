@@ -11,7 +11,7 @@ from test_codim_orbits import rescaled, scales_for
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import RunConfig, _first_nonzero, _raw_witness, kind_basis
+from stargraded.analysis import RunConfig, _build_witness, _first_nonzero, _raw_witness, kind_basis
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
@@ -283,6 +283,25 @@ def test_rank6_zplus_proof_product_count(sweep_work):
     assert 0 < products < 2_000
     assert adds == 40_528
     assert extends == 12_596
+
+
+def test_rank6_zplus_proof_budget_is_its_counted_work():
+    # one unit per alternating tuple, C(9, 6) = 84, and one per option tried at a
+    # gap, the 40,528 insertions pinned above: 40,612 in all
+    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=40_612))
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6 did 40612 units of work, over the cap 40611"):
+        sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=40_611))
+
+
+def test_exchange_thresholds_carry_the_sweeps_witnesses_at_default_caps():
+    # 8 dimensions per kind; the counted work of every rank fits the default
+    # cap, so the rank-8 witness is the sweep's canonical first one
+    A = parse_algebra_spec("m_hl_exchange:2,2")
+    for kind in KINDS:
+        rep = sg.capelli_threshold(A, kind)
+        assert rep.threshold == 9
+        assert rep.witness == _build_witness(A, _first_nonzero(A, 8, kind, None, UNCAPPED))
 
 
 def test_sweep_work_is_the_same_on_every_signed_relabeling(sweep_work):
