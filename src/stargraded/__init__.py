@@ -84,8 +84,6 @@ from .polynomials import (
     MultilinearPoly,
     barred_capelli_set,
     capelli_member,
-    capelli_ordinary,
-    evaluate,
     evaluate_sparse,
     generator_family,
 )

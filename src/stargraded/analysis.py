@@ -20,6 +20,7 @@ from .polynomials import (
     ANY,
     KINDS,
     CapelliShape,
+    MultilinearPoly,
     _extend_alternating,
     capelli_member,
     evaluate_alternating_fast,
@@ -35,7 +36,8 @@ class RunConfig:
 
     cap_n bounds codimension degrees. cap_evals bounds the barred sweep's
     counted work, which is refused once it passes the cap, and the nominal
-    sizes of the other enumerations, which are refused before they start."""
+    sizes of the codimension, block ordering and dimension enumerations,
+    which are refused before they start."""
 
     cap_n: int = 6
     cap_evals: int = 10**8
@@ -52,8 +54,8 @@ DEFAULT_CONFIG = RunConfig()
 
 @dataclass(frozen=True)
 class Witness:
-    """A reproducible non-identity certificate: evaluate(A, poly, assignment)
-    must equal value."""
+    """A reproducible non-identity certificate: evaluate_sparse(A, poly,
+    assignment) on the sparse forms of the dense vectors must equal value."""
 
     poly: object
     assignment: tuple
@@ -264,57 +266,16 @@ def _build_witness(A, raw):
 
 
 def is_graded_identity(A, p, config=DEFAULT_CONFIG):
-    """Decide whether p vanishes under every admissible substitution.
+    """Decide whether the barred Capelli member p vanishes under every
+    admissible substitution, by the exact sweep over its shape.
 
-    Capelli-shaped polynomials reduce to increasing basis tuples in the
-    alternating slots; generic polynomials run the same reduction over their
-    declared alternating groups and enumerate the rest."""
-    if p.shape is not None:
-        raw = _first_nonzero(A, p.shape.rank, p.shape.kind, p.shape.deleted, config)
-        if raw is None:
-            return WitnessReport(True, None)
-        return WitnessReport(False, _build_witness(A, raw))
-    return _generic_identity(A, p, config)
-
-
-def _generic_identity(A, p, config):
-    domains = [kind_basis(A, k) for k in p.slot_kinds]
-    grouped = set()
-    choices = []
-    for g in p.alt_groups:
-        dom = domains[g[0]]
-        if len(dom) < len(g):
-            continue
-        grouped.update(g)
-        choices.append((tuple(g), list(combinations(range(len(dom)), len(g)))))
-    if any(s not in grouped for g2 in p.alt_groups for s in g2):
-        # an alternating group wider than its domain: identically zero
+    A non-identity comes with a replayed witness."""
+    if not isinstance(p, MultilinearPoly):
+        raise ValueError(f"is_graded_identity takes a barred Capelli member from capelli_member, got {type(p).__name__}")
+    raw = _first_nonzero(A, p.shape.rank, p.shape.kind, p.shape.deleted, config)
+    if raw is None:
         return WitnessReport(True, None)
-    free = [s for s in range(p.nslots) if s not in grouped]
-    for s in free:
-        if not domains[s]:
-            return WitnessReport(True, None)
-    nominal = prod(len(c) for _, c in choices) * prod(len(domains[s]) for s in free)
-    if nominal > config.cap_evals:
-        raise SizeCapError(f"identity check needs {nominal} evaluations, cap is {config.cap_evals}")
-    for combo in product(*(c for _, c in choices)):
-        base = {}
-        for (slots, _), picked in zip(choices, combo):
-            for s, t in zip(slots, picked):
-                base[s] = t
-        for rest in product(*(range(len(domains[s])) for s in free)):
-            for s, t in zip(free, rest):
-                base[s] = t
-            assignment = [domains[s][base[s]] for s in range(p.nslots)]
-            value = evaluate_sparse(A, p, assignment)
-            if value:
-                witness = Witness(
-                    p,
-                    tuple(_dense(A, v) for v in assignment),
-                    _dense(A, value),
-                )
-                return WitnessReport(False, witness)
-    return WitnessReport(True, None)
+    return WitnessReport(False, _build_witness(A, raw))
 
 
 def satisfies_generator_set(A, polys, config=DEFAULT_CONFIG):

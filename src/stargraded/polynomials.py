@@ -1,8 +1,8 @@
-"""Multilinear polynomials with typed slots, Capelli families, and evaluators."""
+"""Barred Capelli family members and their two evaluators."""
 
 from dataclasses import dataclass
 
-from .core import sparse_mul, to_dense, to_sparse
+from .core import sparse_mul
 from .linalg import _as_num
 
 YPLUS = "y+"
@@ -36,29 +36,19 @@ class CapelliShape:
 
 
 class MultilinearPoly:
-    """Multilinear polynomial: words over slot indices with coefficients.
+    """A member of the barred Capelli family, given by its CapelliShape.
 
-    slot_kinds fixes the admissible substitutions per slot; alt_groups lists
-    slot index groups the polynomial alternates in; shape is set for Capelli
-    family members so evaluators can take the fast path. A shaped polynomial
-    may be given terms=None: its m! terms are then built the first time
-    `terms` is read, and equality and hashing go by the shape alone."""
+    The first rank slots alternate and have the shape's kind; one untyped
+    connector slot follows for each kept gap. Its m! terms, words over slot
+    indices with signs, are built the first time `terms` is read; equality
+    and hashing go by the shape alone."""
 
-    __slots__ = ("slot_kinds", "_terms", "alt_groups", "shape")
+    __slots__ = ("shape", "slot_kinds", "_terms")
 
-    def __init__(self, slot_kinds, terms, alt_groups=(), shape=None):
-        if terms is None and shape is None:
-            raise ValueError("a polynomial without a Capelli shape needs its terms")
-        self.slot_kinds = tuple(slot_kinds)
-        self._terms = terms
-        self.alt_groups = tuple(alt_groups)
-        n = len(self.slot_kinds)
-        for g in self.alt_groups:
-            if not g or any(not isinstance(s, int) or not 0 <= s < n for s in g):
-                raise ValueError(f"alternating group {g!r} is empty or has a slot outside range({n})")
-            if len({self.slot_kinds[s] for s in g}) != 1:
-                raise ValueError(f"alternating group {g!r} mixes slot kinds")
+    def __init__(self, shape):
         self.shape = shape
+        self.slot_kinds = (shape.kind,) * shape.rank + (ANY,) * len(shape.kept_gaps)
+        self._terms = None
 
     @property
     def terms(self):
@@ -70,22 +60,16 @@ class MultilinearPoly:
     def nslots(self):
         return len(self.slot_kinds)
 
-    def _key(self):
-        if self.shape is not None:
-            return (self.slot_kinds, self.alt_groups, self.shape)
-        return (self.slot_kinds, self.alt_groups, frozenset(self._terms.items()))
-
     def __eq__(self, other):
         if not isinstance(other, MultilinearPoly):
             return NotImplemented
-        return self._key() == other._key()
+        return self.shape == other.shape
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.shape)
 
     def __repr__(self):
-        body = f"shape={self.shape!r}" if self.shape is not None else f"terms={self._terms!r}"
-        return f"MultilinearPoly(slot_kinds={self.slot_kinds!r}, alt_groups={self.alt_groups!r}, {body})"
+        return f"MultilinearPoly({self.shape!r})"
 
 
 def perm_sign(p):
@@ -123,14 +107,7 @@ def capelli_member(m, kind, deleted=()):
     """One member of the barred Capelli family: m alternating slots of the given
     kind with connector slots in the non-deleted gaps. Its terms are built
     only when read."""
-    shape = CapelliShape(m, kind, frozenset(deleted))
-    slot_kinds = (kind,) * m + (ANY,) * len(shape.kept_gaps)
-    return MultilinearPoly(slot_kinds, None, (tuple(range(m)),), shape)
-
-
-def capelli_ordinary(m):
-    """The rank-m alternating polynomial with untyped slots."""
-    return capelli_member(m, ANY)
+    return MultilinearPoly(CapelliShape(m, kind, frozenset(deleted)))
 
 
 def barred_capelli_set(m, kind):
@@ -168,12 +145,6 @@ def evaluate_sparse(A, p, assignment):
             for k, c in cur.items():
                 out[k] = out.get(k, 0) + coeff * c
     return {k: _as_num(c) for k, c in out.items() if c != 0}
-
-
-def evaluate(A, p, assignment):
-    """Value of p on dense coordinate vectors, one per slot."""
-    sparse = [to_sparse(list(v)) for v in assignment]
-    return to_dense(evaluate_sparse(A, p, sparse), A.dim)
 
 
 def evaluate_alternating_fast(A, shape, alt_vecs, conn_vecs):

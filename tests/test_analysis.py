@@ -38,6 +38,11 @@ def test_identity_decision_positive(m2):
     assert rep.is_identity and rep.witness is None
 
 
+def test_identity_decision_refuses_a_shapeless_argument(m2):
+    with pytest.raises(ValueError, match="capelli_member"):
+        sg.is_graded_identity(m2, object())
+
+
 def test_thresholds_on_small_simples():
     for token in ("m_hl_transpose:1,1", "mn_cmn_star:1,t", "m_hl_exchange:1,0"):
         A = parse_algebra_spec(token)

@@ -403,21 +403,45 @@ def without_wedderburn(tmp_path):
     return str(path)
 
 
+# Runs each argument list read from stdin through the CLI in this one process
+# and writes [exit code, stderr] per list to stdout as JSON.
+PROBE_CHILD = """
+import contextlib, io, json, sys, traceback
+from stargraded import cli
+results = []
+for args in json.load(sys.stdin):
+    err, code = io.StringIO(), None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args, prog_name="stargraded", standalone_mode=True)
+        except SystemExit as e:
+            code = e.code
+        except Exception:
+            traceback.print_exc()
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_bad_input_messages_do_not_depend_on_asserts(optimize, tmp_path):
     src = str(Path(sg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-O"] if optimize else []
     no_blocks = ("exponent", "--input", without_wedderburn(tmp_path))
-    probes = BAD_INPUTS[:3] + BAD_INPUTS[4:] + BAD_OPTIONS + [no_blocks]
-    for args in probes + BAD_DOCUMENTS:
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "stargraded.cli", *materialize(args, tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith("error: ") and len(proc.stderr.strip()) > len("error:")
-        assert "Traceback" not in proc.stderr
+    probes = BAD_INPUTS[:3] + BAD_INPUTS[4:] + BAD_OPTIONS + [no_blocks] + BAD_DOCUMENTS
+    argvs = [materialize(args, tmp_path) for args in probes]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", PROBE_CHILD],
+        input=json.dumps(argvs), capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(probes)
+    for args, (code, stderr) in zip(probes, results):
+        assert code == 1, (args, stderr)
+        assert stderr.startswith("error: ") and len(stderr.strip()) > len("error:"), (args, stderr)
+        assert "Traceback" not in stderr, (args, stderr)
 
 
 def test_codim_reads_fraction_structure_constants(tmp_path):

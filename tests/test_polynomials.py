@@ -1,4 +1,4 @@
-"""Typed multilinear polynomials: construction, signs, and the two evaluators."""
+"""Barred Capelli members: construction, signs, and the two evaluators."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,6 @@ from functools import cache
 from itertools import permutations
 from math import factorial
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_codim_orbits import rescaled
@@ -18,8 +17,6 @@ from stargraded.polynomials import (
     CapelliShape,
     barred_capelli_set,
     capelli_member,
-    capelli_ordinary,
-    evaluate,
     evaluate_alternating_fast,
     evaluate_sparse,
     generator_family,
@@ -56,20 +53,6 @@ def test_capelli_member_shape():
     assert len(p.terms) == factorial(3)
     assert p.terms[(0, 3, 1, 4, 2)] == 1
     assert p.terms[(1, 3, 0, 4, 2)] == -1
-    assert p.alt_groups == ((0, 1, 2),)
-
-
-@pytest.mark.parametrize(
-    "groups, message",
-    [([(0, 1)], "mixes slot kinds"), ([(0, 2)], "outside range"), ([(-1, 0)], "outside range"), ([()], "empty")],
-)
-def test_alternating_groups_are_checked_on_construction(groups, message):
-    terms = {(0, 1): 1, (1, 0): -1}
-    with pytest.raises(ValueError, match=message):
-        sg.MultilinearPoly(("y+", "z+"), terms, alt_groups=groups)
-    # the same polynomial with one kind is accepted and decided
-    p = sg.MultilinearPoly(("y+", "y+"), terms, alt_groups=[(0, 1)])
-    assert sg.is_graded_identity(sg.m_hl_transpose(1, 1), p).is_identity
 
 
 def test_capelli_member_with_deletions():
@@ -98,18 +81,18 @@ def test_generator_family_counts():
 
 
 def test_ordinary_member_is_untyped():
-    p = capelli_ordinary(2)
+    p = capelli_member(2, ANY)
     assert p.slot_kinds == (ANY, ANY, ANY)
     assert p.shape.kind == ANY
 
 
 def test_evaluate_standard_polynomial_on_matrix_units(m2):
     p = capelli_member(2, "any", deleted=(0,))
-    e12 = [0, 1, 0, 0]
-    e21 = [0, 0, 1, 0]
+    e12 = {1: 1}
+    e21 = {2: 1}
     # x1 x2 - x2 x1 on (e12, e21) = e11 - e22
-    assert evaluate(m2, p, [e12, e21]) == [1, 0, 0, -1]
-    assert evaluate(m2, p, [e12, e12]) == [0, 0, 0, 0]
+    assert evaluate_sparse(m2, p, [e12, e21]) == {0: 1, 3: -1}
+    assert evaluate_sparse(m2, p, [e12, e12]) == {}
 
 
 def test_alternating_in_equal_arguments_gives_zero(m2):
@@ -118,7 +101,7 @@ def test_alternating_in_equal_arguments_gives_zero(m2):
     v = [rng.randint(-2, 2) for _ in range(4)]
     w = [rng.randint(-2, 2) for _ in range(4)]
     c = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
-    assert evaluate(m2, p, [v, w, v] + c) == [0, 0, 0, 0]
+    assert evaluate_sparse(m2, p, [to_sparse(x) for x in [v, w, v] + c]) == {}
 
 
 def naive_fast_pair(A, m, deleted, rng, entries=range(-2, 3)):
