@@ -81,7 +81,6 @@ from .polynomials import (
     ANY,
     KINDS,
     CapelliShape,
-    MultilinearPoly,
     barred_capelli_set,
     capelli_member,
     evaluate_sparse,

@@ -20,9 +20,7 @@ from .polynomials import (
     ANY,
     KINDS,
     CapelliShape,
-    MultilinearPoly,
     _extend_alternating,
-    capelli_member,
     evaluate_alternating_fast,
     evaluate_sparse,
     right_row,
@@ -57,7 +55,7 @@ class Witness:
     """A reproducible non-identity certificate: evaluate_sparse(A, poly,
     assignment) on the sparse forms of the dense vectors must equal value."""
 
-    poly: object
+    poly: CapelliShape
     assignment: tuple
     value: tuple
 
@@ -251,28 +249,27 @@ def _build_witness(A, raw):
     replay = evaluate_alternating_fast(A, shape, list(alt_vecs), list(conn_vecs))
     if replay != value:
         raise InternalInconsistencyError("witness does not replay through the fast evaluator")
-    poly = capelli_member(shape.rank, shape.kind, shape.deleted)
     assignment = [dict(v) for v in alt_vecs] + [dict(v) for v in conn_vecs]
     # term-by-term replay up to rank 7; the m! terms are built only here
     if factorial(shape.rank) <= 5040:
-        naive = evaluate_sparse(A, poly, assignment)
+        naive = evaluate_sparse(A, shape, assignment)
         if naive != value:
             raise InternalInconsistencyError("witness does not replay through the term evaluator")
     return Witness(
-        poly,
+        shape,
         tuple(_dense(A, v) for v in assignment),
         _dense(A, value),
     )
 
 
 def is_graded_identity(A, p, config=DEFAULT_CONFIG):
-    """Decide whether the barred Capelli member p vanishes under every
-    admissible substitution, by the exact sweep over its shape.
+    """Decide whether the barred Capelli member p, a CapelliShape, vanishes
+    under every admissible substitution, by the exact sweep.
 
     A non-identity comes with a replayed witness."""
-    if not isinstance(p, MultilinearPoly):
+    if not isinstance(p, CapelliShape):
         raise ValueError(f"is_graded_identity takes a barred Capelli member from capelli_member, got {type(p).__name__}")
-    raw = _first_nonzero(A, p.shape.rank, p.shape.kind, p.shape.deleted, config)
+    raw = _first_nonzero(A, p.rank, p.kind, p.deleted, config)
     if raw is None:
         return WitnessReport(True, None)
     return WitnessReport(False, _build_witness(A, raw))
@@ -332,7 +329,7 @@ def threshold_offsets(spec, config=DEFAULT_CONFIG):
     off two kinds each, cross-checked, and must split the excess of trivially
     graded components over their runs."""
     A = ut_star(spec)
-    tags = spec.components if hasattr(spec, "components") else tuple(spec[0])
+    tags = spec.components
     m = len(tags)
     sums = [0, 0, 0, 0]
     for t in tags:

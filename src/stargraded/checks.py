@@ -213,7 +213,7 @@ SANDWICH_BASES = ("m_hl_transpose:1,0", "m_hl_transpose:1,1", "mn_cmn_star:1,t")
 def suite_dims(config=DEFAULT_CONFIG):
     rows = []
     for spec, expected in DIMS_GRID:
-        A = parse_algebra_spec(spec)
+        A = parse_algebra_spec(spec, config)
         tag = parse_family_token(spec)
         got = hom_dims(A)
         table = classified_hom_dims(tag)
@@ -227,7 +227,7 @@ def suite_dims(config=DEFAULT_CONFIG):
 def suite_thresholds(config=DEFAULT_CONFIG):
     rows = []
     for spec in SMALL_SIMPLE_GRID:
-        A = parse_algebra_spec(spec)
+        A = parse_algebra_spec(spec, config)
         dims = hom_dims(A)
         for i, kind in enumerate(KINDS):
             rep = capelli_threshold(A, kind, config=config)
@@ -236,7 +236,7 @@ def suite_thresholds(config=DEFAULT_CONFIG):
             rows.append(
                 row("threshold-witness", spec, kind, "", dims[i] > 0, has_witness)
             )
-    ut2 = parse_ut_spec(UT2_COMPONENTS, "0,0")
+    ut2 = parse_ut_spec(UT2_COMPONENTS, "0,0", config)
     A2 = ut_star(ut2)
     sums = [0, 0, 0, 0]
     for t in ut2.components:
@@ -248,7 +248,7 @@ def suite_thresholds(config=DEFAULT_CONFIG):
             row("threshold", ut_subject(UT2_COMPONENTS, (0, 0)), kind, rep.search_cap, sums[i] + 2, rep.threshold)
         )
     for shifts, expected_r in (((0, 0), (1, 0)), ((0, 1), (0, 1))):
-        spec = parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", ",".join(map(str, shifts)))
+        spec = parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", ",".join(map(str, shifts)), config)
         rep = threshold_offsets(spec, config)
         subject = ut_subject("m_hl_transpose:1,0+m_hl_transpose:1,0", shifts)
         rows.append(row("threshold-offsets", subject, "", "", expected_r, (rep.offset_even, rep.offset_odd)))
@@ -272,7 +272,7 @@ def suite_sandwich(config=DEFAULT_CONFIG):
         for j in range(i + 1, len(SANDWICH_BASES)):
             subjects.append(SANDWICH_BASES[i] + "+" + SANDWICH_BASES[j])
     for spec in subjects:
-        A = parse_algebra_spec(spec)
+        A = parse_algebra_spec(spec, config)
         for n in range(1, 5):
             c_ord = codim_ordinary(A, n, config).value
             c_gr = codim_graded(A, n, config).value
@@ -290,12 +290,12 @@ def suite_peirce(config=DEFAULT_CONFIG):
     )
     rows = []
     for spec, expected, cent in cases:
-        A = parse_algebra_spec(spec)
+        A = parse_algebra_spec(spec, config)
         dec = peirce_decompose(A)
         got = (dec.j00.dim, dec.j01.dim, dec.j10.dim, dec.j11.dim)
         rows.append(row("peirce", spec, "", "", expected, got))
         rows.append(row("radical-centralizer", spec, "", "", cent, radical_centralizer(A).dim))
-    ut2 = ut_star(parse_ut_spec(UT2_COMPONENTS, "0,0"))
+    ut2 = ut_star(parse_ut_spec(UT2_COMPONENTS, "0,0", config))
     dec = peirce_decompose(ut2)
     got = (dec.j00.dim, dec.j01.dim, dec.j10.dim, dec.j11.dim)
     subject = ut_subject(UT2_COMPONENTS, (0, 0))
@@ -307,25 +307,25 @@ def suite_peirce(config=DEFAULT_CONFIG):
 def suite_exponent(config=DEFAULT_CONFIG):
     rows = []
     for spec in ("m_hl_transpose:2,1", "mn_cmn_star:2,t", "m_hl_exchange:1,1"):
-        A = parse_algebra_spec(spec)
+        A = parse_algebra_spec(spec, config)
         rows.append(row("exponent", spec, "", "", A.dim, admissible_exponent(A, config)))
         rows.append(row("is-reduced", spec, "", "", True, is_reduced(A, config)))
-    ut2 = ut_star(parse_ut_spec(UT2_COMPONENTS, "0,0"))
+    ut2 = ut_star(parse_ut_spec(UT2_COMPONENTS, "0,0", config))
     subject = ut_subject(UT2_COMPONENTS, (0, 0))
     rows.append(row("exponent", subject, "", "", 8, admissible_exponent(ut2, config)))
     rows.append(row("is-reduced", subject, "", "", True, is_reduced(ut2, config)))
-    small = ut_star(parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", "0,0"))
+    small = ut_star(parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", "0,0", config))
     rows.append(
         row("exponent", ut_subject("m_hl_transpose:1,0+m_hl_transpose:1,0", (0, 0)), "", "", 2, admissible_exponent(small, config))
     )
-    ds = parse_algebra_spec("m_hl_transpose:1,1+m_hl_transpose:1,0")
+    ds = parse_algebra_spec("m_hl_transpose:1,1+m_hl_transpose:1,0", config)
     rows.append(row("exponent", "m_hl_transpose:1,1+m_hl_transpose:1,0", "", "", 4, admissible_exponent(ds, config)))
     rows.append(row("is-reduced", "m_hl_transpose:1,1+m_hl_transpose:1,0", "", "", False, is_reduced(ds, config)))
     for spec, expected in (
         ("one_sided[m_hl_transpose:1,1]", 4),
         ("tensor[m_hl_transpose:1,1|commutative_nilpotent:1]", 4),
     ):
-        A = parse_algebra_spec(spec)
+        A = parse_algebra_spec(spec, config)
         rows.append(row("exponent", spec, "", "", expected, admissible_exponent(A, config)))
     return rows
 
@@ -333,7 +333,7 @@ def suite_exponent(config=DEFAULT_CONFIG):
 def suite_counterexamples(config=DEFAULT_CONFIG):
     rows = []
     for base_spec in ("m_hl_transpose:1,0", "m_hl_transpose:1,1"):
-        base = parse_algebra_spec(base_spec)
+        base = parse_algebra_spec(base_spec, config)
         dims = hom_dims(base)
         gens = generator_family(*(d + 1 for d in dims))
         base_rep = satisfies_generator_set(base, gens, config)
@@ -342,7 +342,7 @@ def suite_counterexamples(config=DEFAULT_CONFIG):
             f"one_sided[{base_spec}]",
             f"tensor[{base_spec}|noncommutative_nilpotent]",
         ):
-            R = parse_algebra_spec(ext_spec)
+            R = parse_algebra_spec(ext_spec, config)
             rows.append(row("simple", ext_spec, "", "", False, is_star_graded_simple(R)))
             rep = satisfies_generator_set(R, gens, config)
             ok = (not rep.satisfied) and rep.witness is not None

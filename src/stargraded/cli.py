@@ -182,9 +182,9 @@ def _witness_json(w):
         "slot_kinds": list(w.poly.slot_kinds),
         "assignment": [[_frac_str(c) for c in v] for v in w.assignment],
         "value": [_frac_str(c) for c in w.value],
-        "rank": w.poly.shape.rank,
-        "kind": w.poly.shape.kind,
-        "deleted": sorted(w.poly.shape.deleted),
+        "rank": w.poly.rank,
+        "kind": w.poly.kind,
+        "deleted": sorted(w.poly.deleted),
     }
     return json.dumps(doc, indent=1) + "\n"
 

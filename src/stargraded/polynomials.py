@@ -1,6 +1,7 @@
 """Barred Capelli family members and their two evaluators."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import sparse_mul
 from .linalg import _as_num
@@ -15,7 +16,13 @@ KINDS = (YPLUS, YMINUS, ZPLUS, ZMINUS)
 
 @dataclass(frozen=True)
 class CapelliShape:
-    """Alternating rank, slot kind, and which connector gaps were deleted."""
+    """A member of the barred Capelli family: its alternating rank, slot kind,
+    and which connector gaps were deleted.
+
+    The first rank slots alternate and have the kind; one untyped connector
+    slot follows for each kept gap. Its m! terms, words over slot indices with
+    signs, are built the first time `terms` is read; equality and hashing go
+    by (rank, kind, deleted) alone."""
 
     rank: int
     kind: str
@@ -34,42 +41,17 @@ class CapelliShape:
     def kept_gaps(self):
         return tuple(g for g in range(self.rank - 1) if g not in self.deleted)
 
-
-class MultilinearPoly:
-    """A member of the barred Capelli family, given by its CapelliShape.
-
-    The first rank slots alternate and have the shape's kind; one untyped
-    connector slot follows for each kept gap. Its m! terms, words over slot
-    indices with signs, are built the first time `terms` is read; equality
-    and hashing go by the shape alone."""
-
-    __slots__ = ("shape", "slot_kinds", "_terms")
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.slot_kinds = (shape.kind,) * shape.rank + (ANY,) * len(shape.kept_gaps)
-        self._terms = None
-
     @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = _capelli_terms(self.shape)
-        return self._terms
+    def slot_kinds(self):
+        return (self.kind,) * self.rank + (ANY,) * len(self.kept_gaps)
 
     @property
     def nslots(self):
-        return len(self.slot_kinds)
+        return self.rank + len(self.kept_gaps)
 
-    def __eq__(self, other):
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self.shape == other.shape
-
-    def __hash__(self):
-        return hash(self.shape)
-
-    def __repr__(self):
-        return f"MultilinearPoly({self.shape!r})"
+    @cached_property
+    def terms(self):
+        return _capelli_terms(self)
 
 
 def perm_sign(p):
@@ -107,7 +89,7 @@ def capelli_member(m, kind, deleted=()):
     """One member of the barred Capelli family: m alternating slots of the given
     kind with connector slots in the non-deleted gaps. Its terms are built
     only when read."""
-    return MultilinearPoly(CapelliShape(m, kind, frozenset(deleted)))
+    return CapelliShape(m, kind, frozenset(deleted))
 
 
 def barred_capelli_set(m, kind):

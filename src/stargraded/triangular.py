@@ -123,7 +123,7 @@ def ut_star(spec):
     """Build the block triangular algebra of the given simple components inside
     a doubled matrix algebra, with the flip involution and shifted gradings."""
     if not isinstance(spec, UtSpec):
-        spec = UtSpec(tuple(spec[0]), tuple(spec[1]))
+        raise ValueError(f"ut_star takes a UtSpec, got {type(spec).__name__}")
     tags = spec.components
     m = len(tags)
     comps = [build_family(t) for t in tags]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,20 @@ def test_identity_command():
     assert res.exit_code == 0 and ",yes," in res.output
 
 
+def test_identity_witness_file_replays(tmp_path):
+    wit = tmp_path / "w.json"
+    res = run("identity", "--spec", "m_hl_transpose:1,1", "--rank", "2", "--kind", "y+",
+              "--witness-out", str(wit))
+    assert res.exit_code == 0 and ",no," in res.output
+    doc = json.loads(wit.read_text())
+    assert (doc["rank"], doc["kind"], doc["deleted"]) == (2, "y+", [])
+    member = sg.capelli_member(doc["rank"], doc["kind"], doc["deleted"])
+    assert doc["slot_kinds"] == list(member.slot_kinds)
+    assignment = [core.to_sparse([Fraction(c) for c in v]) for v in doc["assignment"]]
+    value = core.to_sparse([Fraction(c) for c in doc["value"]])
+    assert value and sg.evaluate_sparse(sg.m_hl_transpose(1, 1), member, assignment) == value
+
+
 def test_codim_command_and_cap():
     res = run("codim", "--spec", "m_hl_transpose:1,1", "--n", "2", "--brute")
     assert res.exit_code == 0
@@ -107,6 +122,13 @@ def test_codim_command_and_cap():
     assert lines[1].startswith('codim-graded,"m_hl_transpose:1,1",,2,,')
     assert lines[2].startswith('codim-brute,')
     assert run("codim", "--spec", "m_hl_transpose:1,0", "--n", "9").exit_code == 2
+
+
+def test_codim_ordinary_command():
+    # Cat(6) - C(5,3) + 1 - 2^5 = 132 - 10 + 1 - 32
+    res = run("codim", "--ordinary", "--spec", "m_hl_transpose:1,1", "--n", "5")
+    assert res.exit_code == 0
+    assert res.output.strip().splitlines()[1] == 'codim-ordinary,"m_hl_transpose:1,1",,5,,91,ok'
 
 
 def test_codim_table_has_roots():
@@ -128,6 +150,13 @@ def test_verify_paper_suite_and_exit():
     assert lines[0] == HEADER
     assert all(line.endswith(",ok") for line in lines[1:])
     assert run("verify-paper", "--suite", "bogus").exit_code == 1
+
+
+def test_verify_paper_builds_under_the_dimension_cap():
+    # the dims grid holds m_hl_transpose:2,2, dim 16: (16 + 1)^2 = 289 entries
+    res = run("--cap-evals", "100", "verify-paper", "--suite", "dims")
+    assert res.exit_code == 2
+    assert res.output.startswith("refused: dimension ")
 
 
 def test_reports_are_byte_deterministic():

@@ -67,8 +67,8 @@ def test_capelli_member_with_deletions():
 def test_barred_set_enumerates_deletion_patterns():
     fam = barred_capelli_set(4, "y-")
     assert len(fam) == 8
-    assert fam[0].shape.deleted == frozenset()
-    assert {p.shape.deleted for p in fam} == {
+    assert fam[0].deleted == frozenset()
+    assert {p.deleted for p in fam} == {
         frozenset(s) for s in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2])
     }
 
@@ -76,14 +76,21 @@ def test_barred_set_enumerates_deletion_patterns():
 def test_generator_family_counts():
     polys = generator_family(2, 1, 1, 3)
     assert len(polys) == 2 + 1 + 1 + 4
-    kinds = [p.shape.kind for p in polys]
+    kinds = [p.kind for p in polys]
     assert kinds == ["y+", "y+", "y-", "z+", "z-", "z-", "z-", "z-"]
+
+
+def test_member_is_its_shape_with_lazy_terms():
+    p = capelli_member(3, "y+", {0})
+    assert p == CapelliShape(3, "y+", frozenset({0}))
+    assert "terms" not in vars(p)
+    assert len(p.terms) == factorial(3) and "terms" in vars(p)
 
 
 def test_ordinary_member_is_untyped():
     p = capelli_member(2, ANY)
     assert p.slot_kinds == (ANY, ANY, ANY)
-    assert p.shape.kind == ANY
+    assert p.kind == ANY
 
 
 def test_evaluate_standard_polynomial_on_matrix_units(m2):

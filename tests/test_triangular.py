@@ -117,3 +117,9 @@ def test_failed_self_checks_are_internal_inconsistencies(monkeypatch, m2):
         sg.one_sided_radical_extension(m2)
     with pytest.raises(sg.InternalInconsistencyError, match="planted violation"):
         sg.commutative_nilpotent(1)
+
+
+def test_ut_star_takes_only_a_ut_spec():
+    spec = parse_ut_spec("m_hl_transpose:1,0+m_hl_transpose:1,0", "")
+    with pytest.raises(ValueError, match="UtSpec"):
+        sg.ut_star((spec.components, spec.shifts))
