@@ -15,7 +15,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
-from .linalg import RankTracker, coordinate_span
+from .linalg import RankTracker, _as_num, coordinate_span
 from .polynomials import (
     ANY,
     KINDS,
@@ -369,8 +369,8 @@ def threshold_offsets(spec, config=DEFAULT_CONFIG):
 
 def _word_columns(A, vecs, trie):
     """The columns of the left-to-right products over all permutations of vecs:
-    one tuple per coordinate a word reaches, ascending, with one entry per
-    word in lex order.
+    one tuple per coordinate that some word reaches with a nonzero value,
+    ascending, with one entry per word in lex order.
 
     Where a remaining slot holds the same object as the remaining slot just
     before it, taking either one first leaves the same sequence of vectors, so
@@ -379,20 +379,28 @@ def _word_columns(A, vecs, trie):
     separated vectors leaves two different sequences. The walk visits
     positions in increasing order and a copy reads only finished positions,
     so the copies are replayed on each column in walk order after the last
-    word has been scattered into the columns.
+    word has been summed into the columns.
 
     trie memoizes proper prefixes across calls: {id(factor): (factor, product,
     children)}, keyed by factor identity. A node keeps its factor alive, so no
     id is reused while the trie is. Full words are not stored: within one
-    codim_graded or codim_ordinary call no two representatives share one."""
+    codim_graded or codim_ordinary call no two representatives share one. A
+    word's last product is read from A.pair_rows() and summed straight into
+    its columns, with no sparse_mul call and no dict of its own; a node with
+    two slots left writes both orders itself. A column whose entries all
+    cancel is not yielded."""
     n = len(vecs)
+    if n == 1:
+        for _, c in sorted(vecs[0].items()):
+            yield (c,)
+        return
     nfact = factorial(n)
+    pairs = A.pair_rows()
     cols = {}
     copies = []
 
     def rec(children, prefix, remaining, pos):
         block = factorial(len(remaining) - 1)
-        leaf = len(remaining) == 1
         prev = None
         for a, t in enumerate(remaining):
             lo = pos + a * block
@@ -401,23 +409,38 @@ def _word_columns(A, vecs, trie):
                 copies.append((lo, block))
                 continue
             prev = v
-            if leaf:
-                for r, c in (v if prefix is None else sparse_mul(A, prefix, v)).items():
-                    col = cols.get(r)
-                    if col is None:
-                        col = cols[r] = [0] * nfact
-                    col[lo] = c
-                continue
             node = children.get(id(v))
             if node is None:
                 node = children[id(v)] = (v, v if prefix is None else sparse_mul(A, prefix, v), {})
             _, value, grand = node
-            if value:
+            if not value:
+                continue
+            if block > 1:
                 rec(grand, value, remaining[:a] + remaining[a + 1 :], lo)
+                continue
+            # two slots left: the word is value times the other slot's vector
+            other = vecs[remaining[1 - a]].items()
+            for i, ci in value.items():
+                row = pairs[i]
+                if not row:
+                    continue
+                for j, cj in other:
+                    pr = row.get(j)
+                    if pr:
+                        cij = ci * cj
+                        for r, c in pr:
+                            col = cols.get(r)
+                            if col is None:
+                                col = cols[r] = [0] * nfact
+                            col[lo] += cij * c
 
     rec(trie, None, tuple(range(n)), 0)
     for r in sorted(cols):
         col = cols.pop(r)
+        if not any(col):
+            continue
+        if type(sum(col)) is not int:  # a Fraction entry makes the sum a Fraction
+            col = list(map(_as_num, col))
         for lo, block in copies:
             col[lo : lo + block] = col[lo - block : lo]
         yield tuple(col)
@@ -447,13 +470,14 @@ def _representative_columns(A, domains, groups, trie):
         yield from _word_columns(A, vecs, trie)
 
 
-def _generator_maps(groups, n):
+def _generator_maps(grouping, n):
     """The reindexings sigma -> index(tau o sigma), as itemgetters on columns, of
     the transposition (s_0 s_1) and, for c > 2, the cycle (s_0 ... s_{c-1}) of
-    each slot group s_0 < ... < s_{c-1}. They generate the group H below."""
+    each slot group s_0 < ... < s_{c-1} of grouping, a tuple of slot tuples.
+    They generate the group H below."""
     index = {p: i for i, p in enumerate(permutations(range(n)))}
     maps = []
-    for _, slots in groups:
+    for slots in grouping:
         for cycle in [slots[:2], slots][: len(slots) - 1]:
             tau = list(range(n))
             for s, t in zip(cycle, cycle[1:] + cycle[:1]):
@@ -482,8 +506,11 @@ def _assignment_rank(A, domains, config, trie):
     Each image is the column of some a o tau, so S = V. Insertion stops as
     soon as the rank reaches n!, the number of rows.
 
-    trie is the prefix memo of _word_columns. Each public codimension function
-    makes one, shares it across its calls here and drops it on return."""
+    trie is the memo of one public codimension call, which makes it, shares it
+    across its calls here and drops it on return. It holds the prefix trie of
+    _word_columns under factor ids and, beside it, the _generator_maps of each
+    slot grouping under the grouping itself, a tuple of slot tuples, so contents
+    with the same grouping build their maps once."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -493,7 +520,10 @@ def _assignment_rank(A, domains, config, trie):
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations, cap is {config.cap_evals}")
     groups = _slot_groups(domains)
     seeds = dict.fromkeys(_representative_columns(A, domains, groups, trie))
-    gens = _generator_maps(groups, n)
+    grouping = tuple(tuple(slots) for _, slots in groups)
+    gens = trie.get(grouping)
+    if gens is None:
+        gens = trie[grouping] = _generator_maps(grouping, n)
     seen = set(seeds)
     tracker = RankTracker()
     queue = deque()

@@ -8,7 +8,6 @@ from math import gcd, lcm
 from operator import attrgetter
 
 _denominator = attrgetter("denominator")
-_numerator = attrgetter("numerator")
 _is_int = int.__instancecheck__
 
 
@@ -165,9 +164,10 @@ class RankTracker:
     beats a dict. A dict stays sparse: the next column is the least live
     index, so only pivots the vector reaches are visited and a vector with a
     few nonzeros of a long space costs a few steps. A one-entry dict at a free
-    column or at a stored unit row is settled without elimination, and a dict
-    of ints is not rescaled. `Subspace` rows and the barred sweep's joined
-    states take this path."""
+    column or at a stored unit row is settled without elimination. A dict of
+    ints is not rescaled, and neither is a sequence of ints, which is copied
+    as it is. `Subspace` rows and the barred sweep's joined states take the
+    dict path."""
 
     __slots__ = ("pivots", "rows")
 
@@ -233,10 +233,10 @@ class RankTracker:
                         del w[j]
             cols, vals = list(out), list(out.values())
         else:
-            den = lcm(*set(map(_denominator, vec)))
-            if den == 1:
-                w = list(map(_numerator, vec))
+            if type(sum(vec)) is int:  # no Fraction entry, as one makes the sum a Fraction
+                w = list(vec)
             else:
+                den = lcm(*set(map(_denominator, vec)))
                 w = [x.numerator * (den // x.denominator) for x in vec]
             for c in self.pivots:
                 f = w[c]

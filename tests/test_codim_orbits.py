@@ -215,6 +215,11 @@ def reference_columns(A, vecs):
 
 
 M2_POOL, UT_POOL = WORD_POOLS["m2"], WORD_POOLS["ut"]
+# on M_2 with basis (e11, e12, e21, e22): in CANCEL_UV the word (e11 + e12)(e21 -
+# e11) sums e12 e21 - e11 e11 = 0 at e11, which the reverse word reaches; and
+# SQUARE^2 sums e11 e11 - e12 e21 = 0 at e11 in every order
+CANCEL_UV = ({0: 1, 1: 1}, {2: 1, 0: -1})
+SQUARE = {0: 1, 1: 1, 2: -1}
 
 
 @given(word_inputs())
@@ -222,6 +227,8 @@ M2_POOL, UT_POOL = WORD_POOLS["m2"], WORD_POOLS["ut"]
 @example(("m2", [[M2_POOL[i] for i in (0, 0, 2, 0, 2)], [M2_POOL[i] for i in (0, 0, 2, 0)]]))
 @example(("m2", [[M2_POOL[0], dict(M2_POOL[0]), M2_POOL[1]], [M2_POOL[0], M2_POOL[0], M2_POOL[1]]]))
 @example(("ut", [[UT_POOL[i] for i in (2, 0, 2, 2, 5)], [UT_POOL[i] for i in (2, 0, 2, 2, 1)]]))
+@example(("m2", [list(CANCEL_UV), [M2_POOL[0], *CANCEL_UV]]))
+@example(("m2", [[SQUARE, dict(SQUARE)], [M2_POOL[0], SQUARE, dict(SQUARE)]]))
 @settings(max_examples=300, deadline=None)
 def test_word_values_match_the_full_walk(case):
     name, calls = case
@@ -284,14 +291,16 @@ def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, 
     assert calls[0] == words
 
 
-# comments: the products made; those made when each representative multiplies
-# its own prefixes; and those of the same sweep with every word multiplied out
-# and the columns inserted in orbit order
+# comments: the sparse_mul calls made, which multiply proper prefixes only, as
+# each word's last product is summed from the pair table, with the last
+# products so summed after the plus sign; then, counting every product, those
+# made when each representative multiplies its own prefixes, and those of the
+# same sweep with every word multiplied out and the columns inserted in orbit order
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
-    ("m_hl_transpose:1,1", False, 5, 91, 300),  # 240; 1,024; 5,584
-    ("m_hl_transpose:1,1", False, 6, 346, 600),  # 496; 2,608; 29,736
-    ("m_hl_transpose:1,1", True, 6, 4033, 3_000),  # 2,656; 7,672; 106,920
-    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 22,144; 66,048; 187,104
+    ("m_hl_transpose:1,1", False, 5, 91, 150),  # 112 + 128; 1,024; 5,584
+    ("m_hl_transpose:1,1", False, 6, 346, 300),  # 240 + 256; 2,608; 29,736
+    ("m_hl_transpose:1,1", True, 6, 4033, 1_000),  # 840 + 1,816; 7,672; 106,920
+    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 3,456 + 18,688; 66,048; 187,104
 ])
 def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)

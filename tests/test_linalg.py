@@ -350,6 +350,26 @@ def test_rank_tracker_reads_a_dict_as_its_dense_row(case):
         assert tracker_state(dense) == tracker_state(sparse)
 
 
+def test_rank_tracker_takes_an_int_sequence_as_it_is():
+    # an all-int sequence is copied without the denominator scan; with one
+    # entry written as Fraction(n, 1), or as the equal sparse dict, it gives
+    # the same rows, and the caller's list is not changed by the elimination
+    ints = [2, 8, -4, 0, 10]
+    states = []
+    for vec in (ints, [2, 8, Fraction(-4, 1), 0, 10], {0: 2, 1: 8, 2: -4, 4: 10}):
+        tr = RankTracker([[1, 1, 0, 0, 0]])
+        assert tr.add(vec)
+        states.append(tr.rows)
+    assert states[0] == states[1] == states[2]
+    assert states[0][1] == ([1, 2, 4], [3, -2, 5])
+    assert ints == [2, 8, -4, 0, 10]
+    # a Fraction(1, 2) entry still scales the sequence by the lcm of its denominators
+    tr = RankTracker()
+    assert tr.add([0, Fraction(1, 2), 1, 0, Fraction(3, 2)])
+    assert tr.rows == {1: ([1, 2, 4], [1, 2, 3])}
+    assert all(type(x) is int for x in tr.rows[1][1])
+
+
 def test_rank_tracker_dict_keys_are_indices():
     for vec, pivots in (({3: 1}, [3]), ({2: 7, 0: 5}, [0]), ({}, []), ({0: 0, 2: Fraction(0)}, [])):
         tr = RankTracker()
