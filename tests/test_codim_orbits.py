@@ -291,16 +291,14 @@ def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, 
     assert calls[0] == words
 
 
-# comments: the sparse_mul calls made, which multiply proper prefixes only, as
-# each word's last product is summed from the pair table, with the last
-# products so summed after the plus sign; then, counting every product, those
-# made when each representative multiplies its own prefixes, and those of the
-# same sweep with every word multiplied out and the columns inserted in orbit order
+# comments: the products made; those made when each representative multiplies
+# its own prefixes; and those of the same sweep with every word multiplied out
+# and the columns inserted in orbit order
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
-    ("m_hl_transpose:1,1", False, 5, 91, 150),  # 112 + 128; 1,024; 5,584
-    ("m_hl_transpose:1,1", False, 6, 346, 300),  # 240 + 256; 2,608; 29,736
-    ("m_hl_transpose:1,1", True, 6, 4033, 1_000),  # 840 + 1,816; 7,672; 106,920
-    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 3,456 + 18,688; 66,048; 187,104
+    ("m_hl_transpose:1,1", False, 5, 91, 300),  # 240; 1,024; 5,584
+    ("m_hl_transpose:1,1", False, 6, 346, 600),  # 496; 2,608; 29,736
+    ("m_hl_transpose:1,1", True, 6, 4033, 3_000),  # 2,656; 7,672; 106,920
+    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 22,144; 66,048; 187,104
 ])
 def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
@@ -309,6 +307,22 @@ def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, val
     if not graded:
         # the Procesi/Drensky closed form for c_n(M_2)
         assert value == catalan(n + 1) - comb(n, 3) + 1 - 2**n
+    assert 0 < sparse_mul_calls[0] < bound
+
+
+# comments: the sparse_mul calls made, which multiply proper prefixes only, as
+# each word's last product is summed from the pair table, then the last
+# products so summed
+@pytest.mark.parametrize("spec,graded,n,value,bound", [
+    ("m_hl_transpose:1,1", False, 5, 91, 150),  # 112; 128
+    ("m_hl_transpose:1,1", False, 6, 346, 300),  # 240; 256
+    ("m_hl_transpose:1,1", True, 6, 4033, 1_000),  # 840; 1,816
+    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 3,456; 18,688
+])
+def test_last_products_skip_sparse_mul(sparse_mul_calls, spec, graded, n, value, bound):
+    A = parse_algebra_spec(spec)
+    f = sg.codim_graded if graded else sg.codim_ordinary
+    assert f(A, n).value == value
     assert 0 < sparse_mul_calls[0] < bound
 
 
