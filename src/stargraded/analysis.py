@@ -32,10 +32,11 @@ from .triangular import is_trivially_graded, ut_star
 class RunConfig:
     """Caps shared by the checking routines; both are ints of at least 1.
 
-    cap_n bounds codimension degrees. cap_evals bounds the barred sweep's
-    counted work, which is refused once it passes the cap, and the nominal
-    sizes of the codimension, block ordering and dimension enumerations,
-    which are refused before they start."""
+    cap_n bounds codimension degrees. cap_evals is the work budget of one
+    public call, kept by a Meter: the sweep's work is charged as it is done,
+    and the codimension, block ordering and dimension enumerations charge
+    their nominal sizes up front. threshold_offsets, codim_table and the
+    verify-paper suites call public functions, each with a budget of its own."""
 
     cap_n: int = 6
     cap_evals: int = 10**8
@@ -48,6 +49,20 @@ class RunConfig:
 
 
 DEFAULT_CONFIG = RunConfig()
+
+
+class Meter:
+    """The work budget of one public call, and the only comparison against
+    cap_evals: charge raises SizeCapError once the call's total passes it."""
+
+    def __init__(self, config):
+        self.cap = config.cap_evals
+        self.work = 0
+
+    def charge(self, units, stage):
+        self.work += units
+        if self.work > self.cap:
+            raise SizeCapError(f"{stage}: {self.work} units of work in this call, over the cap {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +148,7 @@ def _raw_witness(shape, alt_vecs, conn_vecs, value):
     return (shape, tuple(dict(v) for v in alt_vecs), tuple(dict(v) for v in conn_vecs), dict(value))
 
 
-def _first_nonzero(A, m, kind, deleted, config):
+def _first_nonzero(A, m, kind, deleted, meter):
     """First nonzero evaluation of the rank-m barred family on basis assignments.
 
     deleted=None sweeps every deletion pattern in one shared-prefix search;
@@ -143,10 +158,9 @@ def _first_nonzero(A, m, kind, deleted, config):
     at once when m exceeds the kind's dimension.
 
     The search is bounded by the work it does, not by a nominal count: it
-    charges one unit per alternating tuple, which covers the member with
-    every gap deleted, and len(options) at each gap before its options are
-    tried. Once the total passes config.cap_evals it raises SizeCapError,
-    naming the kind, the rank and the work done.
+    charges meter, the calling public function's budget, one unit per
+    alternating tuple, which covers the member with every gap deleted, and
+    len(options) at each gap before its options are tried.
 
     The search holds one flat form from start to end: the states, each gap's
     option vectors and the subset DP's input and output are all dicts
@@ -176,17 +190,7 @@ def _first_nonzero(A, m, kind, deleted, config):
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
         return None
-    work = 0
-
-    def charge(units):
-        nonlocal work
-        work += units
-        if work > config.cap_evals:
-            raise SizeCapError(
-                f"barred Capelli sweep of kind {kind} at rank {m} did {work} units of work,"
-                f" over the cap {config.cap_evals}"
-            )
-
+    stage = f"barred Capelli sweep of kind {kind} at rank {m}"
     table = right_products(A)
     # kind_basis(A, ANY) lists the kinds in KINDS order, so alt_dom starts at offset
     offset = 0 if kind == ANY else sum(len(kind_basis(A, k)) for k in KINDS[: KINDS.index(kind)])
@@ -218,7 +222,7 @@ def _first_nonzero(A, m, kind, deleted, config):
         options = [(c, sums[c]) for c in sorted(sums)]
         if deleted is None:
             options.append((None, states))
-        charge(len(options))
+        meter.charge(len(options), stage)
         for opt, flat in options:
             if opt is not None:
                 flat = {key: x for key, x in flat.items() if x}
@@ -231,7 +235,7 @@ def _first_nonzero(A, m, kind, deleted, config):
         return None
 
     for alt_idx in combinations(range(len(alt_dom)), m):
-        charge(1)
+        meter.charge(1, stage)
         alt_vecs = [alt_dom[t] for t in alt_idx]
         slot = {offset + a: t for t, a in enumerate(alt_idx)}
         alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
@@ -264,60 +268,56 @@ def _build_witness(A, raw):
 
 def is_graded_identity(A, p, config=DEFAULT_CONFIG):
     """Decide whether the barred Capelli member p, a CapelliShape, vanishes
-    under every admissible substitution, by the exact sweep.
-
-    A non-identity comes with a replayed witness."""
-    if not isinstance(p, CapelliShape):
-        raise ValueError(f"is_graded_identity takes a barred Capelli member from capelli_member, got {type(p).__name__}")
-    raw = _first_nonzero(A, p.rank, p.kind, p.deleted, config)
-    if raw is None:
-        return WitnessReport(True, None)
-    return WitnessReport(False, _build_witness(A, raw))
+    under every admissible substitution: the one-member case of
+    satisfies_generator_set, with its replayed witness for a non-identity."""
+    rep = satisfies_generator_set(A, [p], config)
+    return WitnessReport(rep.satisfied, rep.witness)
 
 
 def satisfies_generator_set(A, polys, config=DEFAULT_CONFIG):
-    """Check a family of polynomials; reports the first failure with a witness."""
+    """Decide barred Capelli members, CapelliShapes, in order under one work
+    budget; reports the first non-identity with a replayed witness."""
+    meter = Meter(config)
     for i, p in enumerate(polys):
-        rep = is_graded_identity(A, p, config)
-        if not rep.is_identity:
-            return GeneratorSetReport(False, i, rep.witness)
+        if not isinstance(p, CapelliShape):
+            raise ValueError(f"barred Capelli members come from capelli_member, got {type(p).__name__}")
+        raw = _first_nonzero(A, p.rank, p.kind, p.deleted, meter)
+        if raw is not None:
+            return GeneratorSetReport(False, i, _build_witness(A, raw))
     return GeneratorSetReport(True, None, None)
 
 
-def capelli_threshold(A, kind, search_cap=None, config=DEFAULT_CONFIG, barred=True):
+def capelli_threshold(A, kind, config=DEFAULT_CONFIG, barred=True):
     """Smallest rank at which the whole (barred) Capelli family becomes identities.
 
     Alternating in more vectors than the component holds is identically zero,
-    so the default cap is the component dimension plus one and always suffices.
-    The report keeps the witness that rules out the rank just below, when one
-    exists; ranks above the threshold are re-checked up to the cap."""
-    alt_dim = len(kind_basis(A, kind))
-    cap = search_cap if search_cap is not None else alt_dim + 1
+    so the search ends by search_cap, the component dimension plus one. The
+    report keeps the witness that rules out the rank just below, when one
+    exists. Every rank above the threshold up to search_cap is re-checked,
+    and all ranks share one work budget."""
+    meter = Meter(config)
+    cap = len(kind_basis(A, kind)) + 1
     deleted = None if barred else frozenset()
     witness = None
-    threshold = None
-    for m in range(1, cap + 1):
-        raw = _first_nonzero(A, m, kind, deleted, config)
+    for threshold in range(1, cap + 1):
+        raw = _first_nonzero(A, threshold, kind, deleted, meter)
         if raw is None:
-            threshold = m
             break
         witness = _build_witness(A, raw)
-    if threshold is None:
-        raise ValueError(f"no identity rank up to {cap} for kind {kind}")
     for m in range(threshold + 1, cap + 1):
-        if _first_nonzero(A, m, kind, deleted, config) is not None:
+        if _first_nonzero(A, m, kind, deleted, meter) is not None:
             raise InternalInconsistencyError(f"identity at rank {threshold} but not at {m}")
     return ThresholdReport(kind, threshold, cap, witness)
 
 
-def ordinary_capelli_threshold(A, search_cap=None, config=DEFAULT_CONFIG, barred=True):
+def ordinary_capelli_threshold(A, config=DEFAULT_CONFIG, barred=True):
     """capelli_threshold with untyped alternating slots."""
-    return capelli_threshold(A, ANY, search_cap, config, barred)
+    return capelli_threshold(A, ANY, config, barred)
 
 
 def barred_rank_is_identity(A, kind, m, config=DEFAULT_CONFIG):
     """True when every deletion-pattern member at rank m is a graded identity."""
-    return _first_nonzero(A, m, kind, None, config) is None
+    return _first_nonzero(A, m, kind, None, Meter(config)) is None
 
 
 def threshold_offsets(spec, config=DEFAULT_CONFIG):
@@ -487,7 +487,7 @@ def _generator_maps(grouping, n):
     return maps
 
 
-def _assignment_rank(A, domains, config, trie):
+def _assignment_rank(A, domains, meter, trie):
     """Rank of the matrix whose rows are the n! products of one slot vector each
     in every order, with one column per (assignment, coordinate) pair.
 
@@ -510,14 +510,14 @@ def _assignment_rank(A, domains, config, trie):
     across its calls here and drops it on return. It holds the prefix trie of
     _word_columns under factor ids and, beside it, the _generator_maps of each
     slot grouping under the grouping itself, a tuple of slot tuples, so contents
-    with the same grouping build their maps once."""
+    with the same grouping build their maps once. meter is that call's budget;
+    the nominal count prod |domain| * n! is charged to it before any column."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
         return 0
     nominal = prod(len(d) for d in domains) * nfact
-    if nominal > config.cap_evals:
-        raise SizeCapError(f"codimension sweep needs {nominal} evaluations, cap is {config.cap_evals}")
+    meter.charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
     groups = _slot_groups(domains)
     seeds = dict.fromkeys(_representative_columns(A, domains, groups, trie))
     grouping = tuple(tuple(slots) for _, slots in groups)
@@ -564,9 +564,11 @@ def _check_degree(n, config):
 
 def codim_graded(A, n, config=DEFAULT_CONFIG):
     """The degree-n codimension of the typed multilinear identities: summed over
-    kind contents, each content's evaluation rank times its multinomial weight."""
+    kind contents, each content's evaluation rank times its multinomial weight.
+    The contents share one work budget."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
+    meter = Meter(config)
     trie = {}
     total = 0
     ranks = {}
@@ -574,20 +576,22 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
         slot_doms = []
         for c, k in zip(content, KINDS):
             slot_doms.extend([doms[k]] * c)
-        r = _assignment_rank(A, slot_doms, config, trie)
+        r = _assignment_rank(A, slot_doms, meter, trie)
         ranks[content] = r
         total += _multinomial(n, content) * r
     return CodimReport(n, total, ranks)
 
 
 def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
-    """Same value as codim_graded, summed over all 4^n kind vectors directly."""
+    """Same value as codim_graded, summed over all 4^n kind vectors directly.
+    The kind vectors share one work budget, whose nominal total is dim^n * n!."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
+    meter = Meter(config)
     trie = {}
     total = 0
     for vector in product(KINDS, repeat=n):
-        total += _assignment_rank(A, [doms[k] for k in vector], config, trie)
+        total += _assignment_rank(A, [doms[k] for k in vector], meter, trie)
     return total
 
 
@@ -595,7 +599,7 @@ def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
     _check_degree(n, config)
     dom = [{k: 1} for k in range(A.dim)]
-    r = _assignment_rank(A, [dom] * n, config, {})
+    r = _assignment_rank(A, [dom] * n, Meter(config), {})
     return CodimReport(n, r, {("any",) * n: r})
 
 
@@ -615,23 +619,19 @@ def _require_wedderburn(A):
         raise ValueError("needs Wedderburn block data")
 
 
-def _check_orderings(nominal, config):
-    if nominal > config.cap_evals:
-        raise SizeCapError(f"block ordering search needs {nominal} orderings, cap is {config.cap_evals}")
-
-
 def admissible_exponent(A, config=DEFAULT_CONFIG):
     """Largest total block dimension over subsets of Wedderburn blocks that can
     be chained through the radical in some order without vanishing.
 
-    Refused when the nominal number of orderings, the sum over subset sizes s
-    of C(k, s) * s!, is over config.cap_evals."""
+    The nominal number of orderings, the sum over subset sizes s of
+    C(k, s) * s!, is charged before any chain is built."""
     _require_wedderburn(A)
     blocks = A.wedderburn.blocks
     if not blocks:
         return 0
     k = len(blocks)
-    _check_orderings(sum(perm(k, s) for s in range(1, k + 1)), config)
+    nominal = sum(perm(k, s) for s in range(1, k + 1))
+    Meter(config).charge(nominal, f"block ordering search of {nominal} orderings")
     J = jacobson_radical(A)
     spans = [coordinate_span(A.dim, b.indices) for b in blocks]
     best = 0
@@ -648,12 +648,13 @@ def admissible_exponent(A, config=DEFAULT_CONFIG):
 def is_reduced(A, config=DEFAULT_CONFIG):
     """True when the full block set admits a nonvanishing radical chain.
 
-    Refused when the k! orderings of the k blocks are over config.cap_evals."""
+    The k! orderings of the k blocks are charged before any chain is built."""
     _require_wedderburn(A)
     blocks = A.wedderburn.blocks
     if not blocks:
         return False
-    _check_orderings(factorial(len(blocks)), config)
+    nominal = factorial(len(blocks))
+    Meter(config).charge(nominal, f"block ordering search of {nominal} orderings")
     J = jacobson_radical(A)
     spans = [coordinate_span(A.dim, b.indices) for b in blocks]
     return any(

@@ -6,6 +6,7 @@ from functools import reduce
 
 from .analysis import (
     DEFAULT_CONFIG,
+    Meter,
     admissible_exponent,
     capelli_threshold,
     codim_graded,
@@ -21,7 +22,6 @@ from .core import (
     peirce_decompose,
     radical_centralizer,
 )
-from .errors import SizeCapError
 from .extensions import (
     commutative_nilpotent,
     noncommutative_nilpotent,
@@ -108,8 +108,7 @@ def check_dimension(dim, config=DEFAULT_CONFIG):
     """Refuse an algebra before it is built when the radical's elimination on
     its unit extension, (dim + 1)^2 entries, is over config.cap_evals."""
     nominal = (dim + 1) ** 2
-    if nominal > config.cap_evals:
-        raise SizeCapError(f"dimension {dim} needs a radical elimination of {nominal} entries, cap is {config.cap_evals}")
+    Meter(config).charge(nominal, f"dimension {dim} (a radical elimination of {nominal} entries)")
 
 
 def parse_algebra_spec(text, config=DEFAULT_CONFIG):

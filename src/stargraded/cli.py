@@ -78,7 +78,7 @@ def guarded(f):
 
 @click.group()
 @click.option("--cap-n", default=6, show_default=True, help="largest codimension degree")
-@click.option("--cap-evals", default=10**8, show_default=True, help="barred sweep work budget; largest nominal enumeration")
+@click.option("--cap-evals", default=10**8, show_default=True, help="work budget per computation: sweep work, enumeration sizes")
 @click.option("--out", default=None, type=click.Path(), help="write the report here instead of stdout")
 @click.pass_context
 @guarded
@@ -161,16 +161,15 @@ def dims(obj, spec, input_path):
 @main.command()
 @subject_options
 @click.option("--kind", "kind", required=True, type=click.Choice(list(KINDS) + [ANY]))
-@click.option("--cap", default=None, type=int, help="largest rank to try")
 @click.option("--unbarred", is_flag=True, help="only the full member, no deletion patterns")
 @click.option("--witness-out", default=None, type=click.Path())
 @click.pass_obj
 @guarded
-def threshold(obj, spec, input_path, kind, cap, unbarred, witness_out):
+def threshold(obj, spec, input_path, kind, unbarred, witness_out):
     """Smallest rank at which the (barred) alternating family becomes identities."""
     config, out = obj
     A, subject = _subject(spec, input_path, config)
-    rep = capelli_threshold(A, kind, cap, config, barred=not unbarred)
+    rep = capelli_threshold(A, kind, config, barred=not unbarred)
     rows = [row("threshold", subject, kind, rep.search_cap, "", rep.threshold, True)]
     emit_rows(rows, out)
     if witness_out and rep.witness is not None:

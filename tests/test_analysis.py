@@ -6,6 +6,7 @@ import stargraded as sg
 from stargraded import analysis
 from stargraded.analysis import (
     DEFAULT_CONFIG,
+    Meter,
     RunConfig,
     _assignment_rank,
     kind_basis,
@@ -165,7 +166,7 @@ def test_codim_table_roots(ground):
 
 
 def test_assignment_rank_empty_domain(m2):
-    assert _assignment_rank(m2, [[]], DEFAULT_CONFIG, {}) == 0
+    assert _assignment_rank(m2, [[]], Meter(DEFAULT_CONFIG), {}) == 0
 
 
 def test_exponent_of_simples():
@@ -217,6 +218,14 @@ def test_block_ordering_cap_is_exact():
         sg.admissible_exponent(A, RunConfig(cap_evals=14))
     with pytest.raises(SizeCapError):
         sg.is_reduced(A, RunConfig(cap_evals=5))
+
+
+def test_codim_contents_share_one_budget(m2):
+    # M_{1,1} has kind dims (2, 0, 1, 1): the contents with a y- slot cost
+    # nothing, the others 2^(y+ slots) * 3! evaluations each, 156 in all
+    assert sg.codim_graded(m2, 3, RunConfig(cap_evals=156)).value == 57
+    with pytest.raises(SizeCapError, match="156 units of work in this call, over the cap 155"):
+        sg.codim_graded(m2, 3, RunConfig(cap_evals=155))
 
 
 def test_eval_cap_is_enforced(m2):

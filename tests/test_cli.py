@@ -381,7 +381,7 @@ def test_large_specs_are_refused_before_construction(monkeypatch):
 def test_dimension_cap_is_exact():
     # dim 4: the radical elimination of the unit extension has 25 entries
     checks.check_dimension(4, sg.RunConfig(cap_evals=25))
-    with pytest.raises(SizeCapError, match="25 entries, cap is 24"):
+    with pytest.raises(SizeCapError, match=r"25 entries\): 25 units of work in this call, over the cap 24"):
         checks.check_dimension(4, sg.RunConfig(cap_evals=24))
     checks.check_dimension(3600)
     with pytest.raises(SizeCapError):
@@ -397,10 +397,12 @@ def test_loaded_documents_meet_the_dimension_cap(tmp_path):
 
 
 def test_codimension_cap_is_reached_past_the_dimension_cap():
-    # 25 entries for the radical pass the cap; the first content's 2^3 * 3! = 48
-    # evaluations do not
+    # 25 entries for the radical pass the cap; the contents share one budget, and
+    # the four contents of z+ and z- slots only (6 evaluations each) and then
+    # (1, 0, 0, 2), with 2 * 3! = 12, bring it to 36
     res = run("--cap-evals", "30", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
-    assert res.exit_code == 2 and "codimension sweep needs 48 evaluations" in res.output
+    assert res.exit_code == 2
+    assert "degree-3 codimension sweep of 12 evaluations: 36 units of work in this call, over the cap 30" in res.output
 
 
 def test_barred_sweep_refusal_reports_its_work(tmp_path):
@@ -409,8 +411,8 @@ def test_barred_sweep_refusal_reports_its_work(tmp_path):
     assert run("--out", str(path), "ut", "--components", components).exit_code == 0
     res = run("--cap-evals", "10000", "threshold", "--input", str(path), "--kind", "z+")
     assert res.exit_code == 2
-    assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 6 did ")
-    work = int(res.output.split(" did ")[1].split()[0])
+    assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 6: ")
+    work = int(res.output.split(": ")[2].split()[0])
     assert 10_000 < work <= 40_612
 
 

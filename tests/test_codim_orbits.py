@@ -89,7 +89,7 @@ class ReferenceRankTracker:
         return True
 
 
-def reference_assignment_rank(A, domains, config, trie):
+def reference_assignment_rank(A, domains, meter, trie):
     """Every assignment in product order, its n! words computed directly. The
     library's prefix memo, trie, is not used."""
     n = len(domains)
@@ -97,7 +97,7 @@ def reference_assignment_rank(A, domains, config, trie):
     if any(not d for d in domains):
         return 0
     nominal = prod(len(d) for d in domains) * nfact
-    if nominal > config.cap_evals:
+    if nominal > meter.cap:
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations")
     tracker = ReferenceRankTracker()
     seen = set()
@@ -388,9 +388,9 @@ def test_spun_span_is_stable_under_every_slot_permutation(monkeypatch, recording
     original = analysis._assignment_rank
     checked = [0]
 
-    def checking(A, domains, config, trie):
+    def checking(A, domains, meter, trie):
         del recording[:]
-        r = original(A, domains, config, trie)
+        r = original(A, domains, meter, trie)
         if r:
             (tracker,) = recording
             span = RankTracker(tracker.accepted)

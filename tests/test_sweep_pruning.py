@@ -11,7 +11,7 @@ from test_codim_orbits import rescaled, scales_for
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import RunConfig, _build_witness, _first_nonzero, _raw_witness, kind_basis
+from stargraded.analysis import Meter, RunConfig, _build_witness, _first_nonzero, _raw_witness, kind_basis
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
@@ -105,7 +105,7 @@ def reference_first_nonzero(A, m, kind, deleted, config):
 
 
 def same_sweep(A, m, kind, deleted, config=RunConfig()):
-    got = _first_nonzero(A, m, kind, deleted, config)
+    got = _first_nonzero(A, m, kind, deleted, Meter(config))
     want = reference_first_nonzero(A, m, kind, deleted, config)
     assert got == want, (m, kind, deleted)
     return got
@@ -290,8 +290,36 @@ def test_rank6_zplus_proof_budget_is_its_counted_work():
     # gap, the 40,528 insertions pinned above: 40,612 in all
     A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
     assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=40_612))
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6 did 40612 units of work, over the cap 40611"):
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 40612 units of work in this call, over the cap 40611"):
         sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=40_611))
+
+
+def test_threshold_ranks_share_one_budget():
+    # UT3's z+ threshold is 6: witnesses at ranks 1-5, the rank-6 proof, and the
+    # re-sweep of ranks 7-10, where rank 10 is over the dimension and costs
+    # nothing. The call's budget is the sum of every rank's units, 81,454, far
+    # above the largest rank's 40,612
+    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    meter = Meter(UNCAPPED)
+    units = []
+    for m in range(1, 11):
+        before = meter.work
+        _first_nonzero(A, m, "z+", None, meter)
+        units.append(meter.work - before)
+    assert units == [1, 34, 49, 57, 1_913, 40_612, 26_982, 10_150, 1_656, 0]
+    assert sg.capelli_threshold(A, "z+", RunConfig(cap_evals=81_454)).threshold == 6
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 81454 units of work in this call, over the cap 81453"):
+        sg.capelli_threshold(A, "z+", RunConfig(cap_evals=81_453))
+
+
+def test_generator_set_members_share_one_budget():
+    # the 32 members of the rank-6 barred z+ set on UT3 are identities; swept
+    # one by one, the largest costs 35,122 units and all of them 331,816
+    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    members = sg.barred_capelli_set(6, "z+")
+    assert sg.satisfies_generator_set(A, members, RunConfig(cap_evals=331_816)).satisfied
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 331816 units of work in this call, over the cap 331815"):
+        sg.satisfies_generator_set(A, members, RunConfig(cap_evals=331_815))
 
 
 def test_exchange_thresholds_carry_the_sweeps_witnesses_at_default_caps():
@@ -301,7 +329,7 @@ def test_exchange_thresholds_carry_the_sweeps_witnesses_at_default_caps():
     for kind in KINDS:
         rep = sg.capelli_threshold(A, kind)
         assert rep.threshold == 9
-        assert rep.witness == _build_witness(A, _first_nonzero(A, 8, kind, None, UNCAPPED))
+        assert rep.witness == _build_witness(A, _first_nonzero(A, 8, kind, None, Meter(UNCAPPED)))
 
 
 def test_sweep_work_is_the_same_on_every_signed_relabeling(sweep_work):
