@@ -487,7 +487,7 @@ def _generator_maps(grouping, n):
     return maps
 
 
-def _assignment_rank(A, domains, meter, trie):
+def _assignment_rank(A, domains, trie):
     """Rank of the matrix whose rows are the n! products of one slot vector each
     in every order, with one column per (assignment, coordinate) pair.
 
@@ -510,14 +510,13 @@ def _assignment_rank(A, domains, meter, trie):
     across its calls here and drops it on return. It holds the prefix trie of
     _word_columns under factor ids and, beside it, the _generator_maps of each
     slot grouping under the grouping itself, a tuple of slot tuples, so contents
-    with the same grouping build their maps once. meter is that call's budget;
-    the nominal count prod |domain| * n! is charged to it before any column."""
+    with the same grouping build their maps once. Its nominal count,
+    prod |domain| * n!, is charged by the public call, with the counts of the
+    call's other sweeps, before any column is built."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
         return 0
-    nominal = prod(len(d) for d in domains) * nfact
-    meter.charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
     groups = _slot_groups(domains)
     seeds = dict.fromkeys(_representative_columns(A, domains, groups, trie))
     grouping = tuple(tuple(slots) for _, slots in groups)
@@ -562,13 +561,21 @@ def _check_degree(n, config):
         raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
 
 
+def _charge_sweeps(config, n, assignments):
+    # one codimension call's nominal total, its assignments times n!, charged
+    # before any column: a call bound to be refused is refused at once
+    nominal = assignments * factorial(n)
+    Meter(config).charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
+
+
 def codim_graded(A, n, config=DEFAULT_CONFIG):
     """The degree-n codimension of the typed multilinear identities: summed over
     kind contents, each content's evaluation rank times its multinomial weight.
-    The contents share one work budget."""
+    The contents share one work budget, charged in full before the first."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
-    meter = Meter(config)
+    sizes = [len(doms[k]) for k in KINDS]
+    _charge_sweeps(config, n, sum(prod(map(pow, sizes, content)) for content in _contents(n)))
     trie = {}
     total = 0
     ranks = {}
@@ -576,7 +583,7 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
         slot_doms = []
         for c, k in zip(content, KINDS):
             slot_doms.extend([doms[k]] * c)
-        r = _assignment_rank(A, slot_doms, meter, trie)
+        r = _assignment_rank(A, slot_doms, trie)
         ranks[content] = r
         total += _multinomial(n, content) * r
     return CodimReport(n, total, ranks)
@@ -584,14 +591,15 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
 
 def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
     """Same value as codim_graded, summed over all 4^n kind vectors directly.
-    The kind vectors share one work budget, whose nominal total is dim^n * n!."""
+    The kind vectors share one work budget, whose nominal total, dim^n * n!,
+    is charged before the first."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
-    meter = Meter(config)
+    _charge_sweeps(config, n, A.dim**n)
     trie = {}
     total = 0
     for vector in product(KINDS, repeat=n):
-        total += _assignment_rank(A, [doms[k] for k in vector], meter, trie)
+        total += _assignment_rank(A, [doms[k] for k in vector], trie)
     return total
 
 
@@ -599,7 +607,8 @@ def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
     _check_degree(n, config)
     dom = [{k: 1} for k in range(A.dim)]
-    r = _assignment_rank(A, [dom] * n, Meter(config), {})
+    _charge_sweeps(config, n, A.dim**n)
+    r = _assignment_rank(A, [dom] * n, {})
     return CodimReport(n, r, {("any",) * n: r})
 
 

@@ -1,8 +1,11 @@
 """Constructors for the classified simple superalgebras with graded involution."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import StarSuperAlgebra, WedderburnBlock, WedderburnData
+from .errors import InternalInconsistencyError
+from .linalg import _as_num
 
 MHL_T = "MHL_T"
 MHH_S = "MHH_S"
@@ -59,92 +62,135 @@ def validate_tag(tag):
         raise ValueError(f"unknown family {name}")
 
 
-def _unit_idx(n, i, j):
-    return i * n + j
+def from_matrices(labels, mats, degrees, star, wedderburn, layout=None):
+    """The algebra spanned by the sparse matrices mats, each {(r, c): v}.
+
+    A basis matrix has degree degrees[r] + degrees[c] at each of its entries.
+    star = (p, s) is a signed permutation P, and the involution is
+    X -> P X^t P^-1: e_rc -> s_r s_c e_{p(c), p(r)}. Each product and each star
+    image is read back through the basis matrix that owns each of its
+    positions. A mixed degree, a position owned twice, or an image outside the
+    span is an InternalInconsistencyError."""
+    p, s = star
+    owner = {}
+    grading = []
+    rows = {}  # rows[r]: (c, t, v) for each entry v at (r, c) of basis matrix t
+    for t, mat in enumerate(mats):
+        degs = {(degrees[r] + degrees[c]) % 2 for r, c in mat}
+        if len(degs) != 1:
+            raise InternalInconsistencyError(f"basis matrix {labels[t]} is empty or not homogeneous")
+        grading.append(degs.pop())
+        for (r, c), v in mat.items():
+            if (r, c) in owner:
+                raise InternalInconsistencyError(f"position {(r, c)} claimed twice")
+            owner[r, c] = t
+            rows.setdefault(r, []).append((c, t, v))
+
+    def read_back(image, what):
+        # consumes image; a zero entry is skipped, and the owner of a nonzero
+        # one must find each of its other entries times the same coefficient
+        coeffs = {}
+        while image:
+            pos, val = image.popitem()
+            if not val:
+                continue
+            t = owner.get(pos)
+            if t is None:
+                raise InternalInconsistencyError(f"{what} leaves the span at {pos}")
+            mat = mats[t]
+            entry = mat[pos]
+            lam = val * entry if entry in (1, -1) else _as_num(Fraction(val) / entry)
+            for q, v in mat.items():
+                if q != pos and image.pop(q, 0) != lam * v:
+                    raise InternalInconsistencyError(f"{what} is not in the span")
+            coeffs[t] = lam
+        return coeffs.items()
+
+    structure = []
+    if all(list(mat.values()) == [1] for mat in mats):
+        # a basis of matrix units: e_rc e_cd = e_rd is read back by its owner alone
+        for a, ((r, c),) in enumerate(mats):
+            for d, b, _ in rows.get(c, ()):
+                t = owner.get((r, d))
+                if t is None:
+                    raise InternalInconsistencyError(f"product leaves the span at {(r, d)}")
+                structure.append((a, b, t, 1))
+    else:
+        for a, mat in enumerate(mats):
+            products = {}
+            for (r, c), v in mat.items():
+                for c2, b, v2 in rows.get(c, ()):
+                    prod = products.setdefault(b, {})
+                    prod[r, c2] = prod.get((r, c2), 0) + v * v2
+            for b, prod in products.items():
+                structure += [(a, b, t, lam) for t, lam in read_back(prod, "product")]
+    involution = []
+    for t, mat in enumerate(mats):
+        image = {(p[c], p[r]): s[r] * s[c] * v for (r, c), v in mat.items()}
+        involution += [(r, t, lam) for r, lam in read_back(image, "star image")]
+    return StarSuperAlgebra(len(mats), labels, structure, grading, involution, wedderburn, layout)
 
 
-def _unit_labels(n, prefix=""):
-    return [f"{prefix}e{i + 1},{j + 1}" for i in range(n) for j in range(n)]
-
-
-def _matrix_structure(n):
-    # e_ij . e_jl = e_il
-    return [
-        (_unit_idx(n, i, j), _unit_idx(n, j, l), _unit_idx(n, i, l), 1)
-        for i in range(n)
-        for j in range(n)
-        for l in range(n)
-    ]
-
-
-def _matrix_star(n, diamond):
-    """Involution triples (r, k, c) of the transpose (diamond "t") or the
-    symplectic (diamond "s") involution of M_n: e_k* = c e_r on the units."""
+def _signed_permutation(n, diamond):
+    # (p, s) of the transpose ("t") or the symplectic ("s") involution of M_n
     if diamond == "t":
-        return [(_unit_idx(n, j, i), _unit_idx(n, i, j), 1) for i in range(n) for j in range(n)]
-    # star(X) = Omega X^t Omega^{-1} with Omega = [[0, I],[-I, 0]] in half-blocks:
-    # swap the half-blocks, transpose, and negate the off-diagonal half-blocks
+        return list(range(n)), [1] * n
     h = n // 2
-    return [
-        (_unit_idx(n, (j + h) % n, (i + h) % n), _unit_idx(n, i, j), (-1) ** ((i < h) != (j < h)))
-        for i in range(n)
-        for j in range(n)
-    ]
+    return [(i + h) % n for i in range(n)], [1] * h + [-1] * h
 
 
-def _one_block(dim, tag):
-    return WedderburnData((WedderburnBlock(tuple(range(dim)), tag.name, tag.params),), ())
+def family_matrices(tag):
+    """(labels, basis matrices, row degrees, (p, s)) of the family a tag names,
+    for from_matrices.
+
+    The matrix families are M_n on its units, graded by the first h rows
+    against the rest. a + cb in mn_cmn is [[a, b], [b, a]], with the flavor's
+    (p, s) on each half and the sign on the second. The exchange families put
+    (b, c) in B + B^op at diag(b, c^t), and P swaps the two blocks."""
+    validate_tag(tag)
+    name, params = tag.name, tag.params
+    if name in (MHL_EXC, MN_CMN_EXC):
+        inner = FamilyTag(MHL_T, params) if name == MHL_EXC else FamilyTag(MN_CMN_DAGGER, (params[0], "t"))
+        labels, mats, degrees, _ = family_matrices(inner)
+        N = len(degrees)
+        ops = [{(N + c, N + r): v for (r, c), v in mat.items()} for mat in mats]
+        swap = [(i + N) % (2 * N) for i in range(2 * N)]
+        return labels + ["op." + x for x in labels], mats + ops, degrees * 2, (swap, [1] * 2 * N)
+    n = params[0] + params[1] if name == MHL_T else 2 * params[0] if name == MHH_S else params[0]
+    units = [(i, j) for i in range(n) for j in range(n)]
+    labels = [f"e{i + 1},{j + 1}" for i, j in units]
+    if name in (MHL_T, MHH_S):
+        degrees = [0] * params[0] + [1] * (n - params[0])
+        star = _signed_permutation(n, "t" if name == MHL_T else "s")
+        return labels, [{u: 1} for u in units], degrees, star
+    mats = [{(i, j): 1, (n + i, n + j): 1} for i, j in units]
+    mats += [{(i, n + j): 1, (n + i, j): 1} for i, j in units]
+    p, s = _signed_permutation(n, params[1])
+    sign = 1 if name == MN_CMN_DAGGER else -1
+    star = (p + [n + x for x in p], s + [sign * x for x in s])
+    return labels + ["c*" + x for x in labels], mats, [0] * n + [1] * n, star
 
 
-def _block_grading(n, h):
-    # elementary grading: 0 on the first h row/col indices, 1 on the rest
-    alpha = [0 if i < h else 1 for i in range(n)]
-    return [(alpha[i] + alpha[j]) % 2 for i in range(n) for j in range(n)]
-
-
-def _matrix_family(tag, n, h, diamond):
-    """M_n with block grading (h, n - h) and the involution the diamond names."""
-    return StarSuperAlgebra(
-        n * n,
-        _unit_labels(n),
-        _matrix_structure(n),
-        _block_grading(n, h),
-        _matrix_star(n, diamond),
-        wedderburn=_one_block(n * n, tag),
-    )
+def build_family(tag):
+    """Construct the algebra a FamilyTag describes."""
+    labels, mats, degrees, star = family_matrices(tag)
+    block = WedderburnBlock(tuple(range(len(mats))), tag.name, tag.params)
+    return from_matrices(labels, mats, degrees, star, WedderburnData((block,), ()))
 
 
 def m_hl_transpose(h, l):
     """Full matrix algebra with block grading (h, l) and transpose involution."""
-    return _matrix_family(FamilyTag(MHL_T, (h, l)), h + l, h, "t")
+    return build_family(FamilyTag(MHL_T, (h, l)))
 
 
 def m_hh_symplectic(h):
     """Full matrix algebra of even size with half-half grading and symplectic involution."""
-    return _matrix_family(FamilyTag(MHH_S, (h,)), 2 * h, h, "s")
-
-
-def exchange(B, tag):
-    """B plus its opposite B^op, whose product is b.c = cb, with the exchange
-    involution (b, c) -> (c, b). Basis d + k of the result is basis k of B^op."""
-    d = B.dim
-    structure = [(i, j, k, c) for (i, j), row in B.structure.items() for k, c in row.items()]
-    structure += [(d + j, d + i, d + k, c) for i, j, k, c in structure]
-    involution = [(d + k, k, 1) for k in range(d)] + [(k, d + k, 1) for k in range(d)]
-    return StarSuperAlgebra(
-        2 * d,
-        list(B.labels) + ["op." + s for s in B.labels],
-        structure,
-        list(B.grading) * 2,
-        involution,
-        wedderburn=_one_block(2 * d, tag),
-    )
+    return build_family(FamilyTag(MHH_S, (h,)))
 
 
 def m_hl_exchange(h, l):
     """Matrix algebra plus its opposite, exchange involution, block grading on both."""
-    tag = FamilyTag(MHL_EXC, (h, l))
-    return exchange(m_hl_transpose(h, l), tag)
+    return build_family(FamilyTag(MHL_EXC, (h, l)))
 
 
 def mn_cmn(n, diamond, sign):
@@ -152,45 +198,12 @@ def mn_cmn(n, diamond, sign):
     involution a + cb -> a^diamond + sign * c b^diamond."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    tag = FamilyTag(MN_CMN_DAGGER if sign == "+" else MN_CMN_STAR, (n, diamond))
-    nn = n * n
-    structure = []
-    for a, b, c0, _ in _matrix_structure(n):
-        structure += [(a, b, c0, 1), (a, nn + b, nn + c0, 1)]
-        structure += [(nn + a, b, nn + c0, 1), (nn + a, nn + b, c0, 1)]
-    s = 1 if sign == "+" else -1
-    star = _matrix_star(n, diamond)
-    involution = star + [(nn + r, nn + k, s * c) for r, k, c in star]
-    return StarSuperAlgebra(
-        2 * nn,
-        _unit_labels(n) + _unit_labels(n, "c*"),
-        structure,
-        [0] * nn + [1] * nn,
-        involution,
-        wedderburn=_one_block(2 * nn, tag),
-    )
+    return build_family(FamilyTag(MN_CMN_DAGGER if sign == "+" else MN_CMN_STAR, (n, diamond)))
 
 
 def mn_cmn_exchange(n):
     """The mn_cmn superalgebra plus its opposite with the exchange involution."""
-    tag = FamilyTag(MN_CMN_EXC, (n,))
-    return exchange(mn_cmn(n, "t", "+"), tag)
-
-
-def build_family(tag):
-    """Construct the algebra a FamilyTag describes."""
-    validate_tag(tag)
-    if tag.name == MHL_T:
-        return m_hl_transpose(*tag.params)
-    if tag.name == MHH_S:
-        return m_hh_symplectic(*tag.params)
-    if tag.name == MHL_EXC:
-        return m_hl_exchange(*tag.params)
-    if tag.name == MN_CMN_STAR:
-        return mn_cmn(tag.params[0], tag.params[1], "-")
-    if tag.name == MN_CMN_DAGGER:
-        return mn_cmn(tag.params[0], tag.params[1], "+")
-    return mn_cmn_exchange(*tag.params)
+    return build_family(FamilyTag(MN_CMN_EXC, (n,)))
 
 
 def classified_hom_dims(tag):

@@ -5,8 +5,6 @@ import pytest
 import stargraded as sg
 from stargraded import analysis
 from stargraded.analysis import (
-    DEFAULT_CONFIG,
-    Meter,
     RunConfig,
     _assignment_rank,
     kind_basis,
@@ -166,7 +164,7 @@ def test_codim_table_roots(ground):
 
 
 def test_assignment_rank_empty_domain(m2):
-    assert _assignment_rank(m2, [[]], Meter(DEFAULT_CONFIG), {}) == 0
+    assert _assignment_rank(m2, [[]], {}) == 0
 
 
 def test_exponent_of_simples():
@@ -226,6 +224,23 @@ def test_codim_contents_share_one_budget(m2):
     assert sg.codim_graded(m2, 3, RunConfig(cap_evals=156)).value == 57
     with pytest.raises(SizeCapError, match="156 units of work in this call, over the cap 155"):
         sg.codim_graded(m2, 3, RunConfig(cap_evals=155))
+
+
+def test_codim_refusal_comes_before_any_column(monkeypatch, m2):
+    # the 4^3 kind vectors of M_{1,1} cost 4^3 * 3! = 384 in all, charged up front
+    calls = [0]
+    original = analysis._word_columns
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_word_columns", counted)
+    with pytest.raises(SizeCapError, match="384 units of work in this call, over the cap 383"):
+        sg.codim_graded_bruteforce(m2, 3, RunConfig(cap_evals=383))
+    assert calls[0] == 0
+    assert sg.codim_graded_bruteforce(m2, 3, RunConfig(cap_evals=384)) == 57
+    assert calls[0] > 0
 
 
 def test_eval_cap_is_enforced(m2):

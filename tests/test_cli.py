@@ -397,12 +397,11 @@ def test_loaded_documents_meet_the_dimension_cap(tmp_path):
 
 
 def test_codimension_cap_is_reached_past_the_dimension_cap():
-    # 25 entries for the radical pass the cap; the contents share one budget, and
-    # the four contents of z+ and z- slots only (6 evaluations each) and then
-    # (1, 0, 0, 2), with 2 * 3! = 12, bring it to 36
+    # 25 entries for the radical pass the cap; the contents share one budget,
+    # charged up front: 2^(y+ slots) * 3! for each content with no y- slot, 156 in all
     res = run("--cap-evals", "30", "codim", "--spec", "m_hl_transpose:1,1", "--n", "3")
     assert res.exit_code == 2
-    assert "degree-3 codimension sweep of 12 evaluations: 36 units of work in this call, over the cap 30" in res.output
+    assert "degree-3 codimension sweep of 156 evaluations: 156 units of work in this call, over the cap 30" in res.output
 
 
 def test_barred_sweep_refusal_reports_its_work(tmp_path):

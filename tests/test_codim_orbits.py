@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import _word_columns
+from stargraded.analysis import DEFAULT_CONFIG, _word_columns
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
@@ -89,7 +89,7 @@ class ReferenceRankTracker:
         return True
 
 
-def reference_assignment_rank(A, domains, meter, trie):
+def reference_assignment_rank(A, domains, trie):
     """Every assignment in product order, its n! words computed directly. The
     library's prefix memo, trie, is not used."""
     n = len(domains)
@@ -97,7 +97,7 @@ def reference_assignment_rank(A, domains, meter, trie):
     if any(not d for d in domains):
         return 0
     nominal = prod(len(d) for d in domains) * nfact
-    if nominal > meter.cap:
+    if nominal > DEFAULT_CONFIG.cap_evals:
         raise SizeCapError(f"codimension sweep needs {nominal} evaluations")
     tracker = ReferenceRankTracker()
     seen = set()
@@ -388,9 +388,9 @@ def test_spun_span_is_stable_under_every_slot_permutation(monkeypatch, recording
     original = analysis._assignment_rank
     checked = [0]
 
-    def checking(A, domains, meter, trie):
+    def checking(A, domains, trie):
         del recording[:]
-        r = original(A, domains, meter, trie)
+        r = original(A, domains, trie)
         if r:
             (tracker,) = recording
             span = RankTracker(tracker.accepted)

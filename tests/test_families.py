@@ -1,12 +1,13 @@
-"""The classified simple families: construction, frozen dimension grid,
-closed forms, tag validation."""
+"""The classified simple families: construction from matrices, frozen
+dimension grid, closed forms, tag validation."""
 
 import pytest
 
 import stargraded as sg
 from stargraded.core import sparse_mul, sparse_star
 from stargraded.checks import DIMS_GRID, parse_family_token
-from stargraded.families import FamilyTag, validate_tag
+from stargraded.families import FamilyTag, family_matrices, from_matrices, validate_tag
+from stargraded.triangular import component_corner_size, is_trivially_graded
 
 
 @pytest.mark.parametrize("token,expected", DIMS_GRID, ids=[t for t, _ in DIMS_GRID])
@@ -105,3 +106,37 @@ def test_wedderburn_data_marks_one_simple_block():
     assert len(A.wedderburn.blocks) == 1
     assert A.wedderburn.blocks[0].indices == tuple(range(A.dim))
     assert A.wedderburn.radical == ()
+
+
+TRANSPOSE_2 = ([0, 1], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "mats,degrees,message",
+    [
+        # e12 is in the span but its transpose e21 is not
+        ([{(0, 0): 1}, {(0, 1): 1}], [0, 0], "leaves the span"),
+        # (e11 + 2 e22)^2 = e11 + 4 e22 is no multiple of it
+        ([{(0, 0): 1, (1, 1): 2}], [0, 0], "not in the span"),
+        ([{(0, 0): 1, (0, 1): 1}], [0, 1], "not homogeneous"),
+        ([{(0, 0): 1}, {(0, 0): 1, (1, 1): 1}], [0, 0], "claimed twice"),
+    ],
+)
+def test_from_matrices_refuses_what_is_not_an_algebra(mats, degrees, message):
+    labels = [f"b{t}" for t in range(len(mats))]
+    with pytest.raises(sg.InternalInconsistencyError, match=message):
+        from_matrices(labels, mats, degrees, TRANSPOSE_2, None)
+
+
+@pytest.mark.parametrize("token", [t for t, _ in DIMS_GRID])
+def test_corner_closed_forms_agree_with_the_family_matrices(token):
+    # the dimension pre-check of parse_ut_spec reads the corner size and the
+    # trivial grading from closed forms, before any matrix is built
+    tag = parse_family_token(token)
+    _, mats, degrees, _ = family_matrices(tag)
+    size = component_corner_size(tag)
+    inside = [m for m in mats if all(r < size and c < size for r, c in m)]
+    outside = [m for m in mats if all(r >= size and c >= size for r, c in m)]
+    assert len(inside) + len(outside) == len(mats)
+    assert {r for m in inside for r, _ in m} == set(range(size))
+    assert is_trivially_graded(tag) == (set(degrees[:size]) == {0})
