@@ -7,6 +7,8 @@ from math import factorial, perm, prod
 from operator import itemgetter
 
 from .core import (
+    _kernel,
+    commutator_images,
     hom_components,
     jacobson_radical,
     sparse_mul,
@@ -19,6 +21,10 @@ from .linalg import RankTracker, _as_num, coordinate_span
 from .polynomials import (
     ANY,
     KINDS,
+    YMINUS,
+    YPLUS,
+    ZMINUS,
+    ZPLUS,
     CapelliShape,
     _extend_alternating,
     evaluate_alternating_fast,
@@ -512,7 +518,10 @@ def _assignment_rank(A, domains, trie):
     slot grouping under the grouping itself, a tuple of slot tuples, so contents
     with the same grouping build their maps once. Its nominal count,
     prod |domain| * n!, is charged by the public call, with the counts of the
-    call's other sweeps, before any column is built."""
+    call's other sweeps, before any column is built. codim_graded calls it
+    once per class of contents, which is one content each unless the algebra
+    has an odd central unit; codim_graded_bruteforce and codim_ordinary call
+    it on their own slots and do not use the classes."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -555,7 +564,7 @@ def _multinomial(n, content):
 
 
 def _check_degree(n, config):
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"codimension degree must be a positive integer, got {n!r}")
     if n > config.cap_n:
         raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
@@ -568,24 +577,83 @@ def _charge_sweeps(config, n, assignments):
     Meter(config).charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
 
 
+def _odd_central_unit(A):
+    """An odd central c with c* = eps c whose left multiplication is injective,
+    as (eps, c), or None; cached on the algebra beside the kind bases.
+
+    For each eps, the central elements of the component z^eps are the kernel
+    of z -> ([e_i, z])_i over kind_basis(A, z^eps). A candidate is accepted
+    when its left multiplication has rank dim A; the kernel's basis vectors
+    are tried in turn and then their sum, which is the unit of a direct sum
+    of such algebras. c maps y+ onto z^eps and y- onto z^-eps, so an eps
+    whose component dimensions do not match is not tried."""
+    if A._odd_unit is not None:
+        return A._odd_unit or None
+    A._odd_unit = ()
+    ys = (len(kind_basis(A, YPLUS)), len(kind_basis(A, YMINUS)))
+    images = None
+    for eps, kind, other in ((1, ZPLUS, ZMINUS), (-1, ZMINUS, ZPLUS)):
+        basis = kind_basis(A, kind)
+        if not basis or (len(basis), len(kind_basis(A, other))) != ys:
+            continue
+        if images is None:
+            images = commutator_images(A)
+        cols = []
+        for v in basis:
+            col = {}
+            for j, a in v.items():
+                for key, x in images[j].items():
+                    col[key] = col.get(key, 0) + a * x
+            cols.append(col)
+        center = list(_kernel(A.dim, basis, cols).sparse_basis)
+        if len(center) > 1:
+            total = {}
+            for v in center:
+                for k, x in v.items():
+                    total[k] = total.get(k, 0) + x
+            center.append({k: x for k, x in total.items() if x})
+        for c in center:
+            tracker = RankTracker()
+            if all(tracker.add(sparse_mul(A, c, {i: 1})) for i in range(A.dim)):
+                A._odd_unit = (eps, c)
+                return A._odd_unit
+    return None
+
+
 def codim_graded(A, n, config=DEFAULT_CONFIG):
     """The degree-n codimension of the typed multilinear identities: summed over
     kind contents, each content's evaluation rank times its multinomial weight.
-    The contents share one work budget, charged in full before the first."""
+
+    With an odd central unit c, c* = eps c (_odd_central_unit), the rank of a
+    content depends only on its class (n1 + n_{z^eps}, n2 + n_{z^-eps}, 0, 0):
+    a word whose k odd slots hold c b_s is c^k times the word in the b_s, and
+    left multiplication by c^k is injective, so the odd slots' columns span
+    what the even ones' do, and moving slots only permutes the rows. Each
+    class is then swept once, as that content, and every content reports its
+    class's rank. Without such a unit every content is its own class. The
+    classes swept share one work budget, their nominal total charged in full
+    before the first."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
     sizes = [len(doms[k]) for k in KINDS]
-    _charge_sweeps(config, n, sum(prod(map(pow, sizes, content)) for content in _contents(n)))
-    trie = {}
-    total = 0
-    ranks = {}
+    unit = _odd_central_unit(A)
+    classes = {}
     for content in _contents(n):
+        if unit is not None:
+            n1, n2, n3, n4 = content
+            classes[content] = (n1 + n3, n2 + n4, 0, 0) if unit[0] == 1 else (n1 + n4, n2 + n3, 0, 0)
+        else:
+            classes[content] = content
+    swept = dict.fromkeys(classes.values())
+    _charge_sweeps(config, n, sum(prod(map(pow, sizes, rep)) for rep in swept))
+    trie = {}
+    for rep in swept:
         slot_doms = []
-        for c, k in zip(content, KINDS):
+        for c, k in zip(rep, KINDS):
             slot_doms.extend([doms[k]] * c)
-        r = _assignment_rank(A, slot_doms, trie)
-        ranks[content] = r
-        total += _multinomial(n, content) * r
+        swept[rep] = _assignment_rank(A, slot_doms, trie)
+    ranks = {content: swept[rep] for content, rep in classes.items()}
+    total = sum(_multinomial(n, content) * r for content, r in ranks.items())
     return CodimReport(n, total, ranks)
 
 

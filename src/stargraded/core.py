@@ -114,6 +114,7 @@ class StarSuperAlgebra:
         self._hom = None
         self._radical = None
         self._kind_bases = {}
+        self._odd_unit = None  # analysis._odd_central_unit: () when searched and none found
         self._right_products = None
 
     def pair_rows(self):
@@ -506,17 +507,22 @@ def _rational_roots(coeffs):
     return roots
 
 
-def central_primitive_idempotents(A):
-    """Central primitive idempotents of a semisimple algebra, found by splitting the center."""
-    d = A.dim
-    # the center is the kernel of z -> (e_i z - z e_i)_i; images[j][i, k] is the
-    # e_k coefficient of e_i e_j - e_j e_i
-    images = [{} for _ in range(d)]
+def commutator_images(A):
+    """The images of the basis under z -> (e_i z - z e_i)_i, whose kernel is the
+    center: images[j][i, k] is the e_k coefficient of e_i e_j - e_j e_i, with
+    entries that cancel kept as zeros."""
+    images = [{} for _ in range(A.dim)]
     for (i, j), row in A.structure.items():
         for k, c in row.items():
             images[j][i, k] = images[j].get((i, k), 0) + c
             images[i][j, k] = images[i].get((j, k), 0) - c
-    center = _kernel(d, [{j: 1} for j in range(d)], images)
+    return images
+
+
+def central_primitive_idempotents(A):
+    """Central primitive idempotents of a semisimple algebra, found by splitting the center."""
+    d = A.dim
+    center = _kernel(d, [{j: 1} for j in range(d)], commutator_images(A))
     subspaces = [center]
     for sz in center.sparse_basis:
         refined = []

@@ -157,6 +157,14 @@ def test_codim_respects_the_degree_cap(ground):
     assert sg.codim_graded(ground, 7, cfg).value == 1
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0])
+@pytest.mark.parametrize("f", [sg.codim_graded, sg.codim_graded_bruteforce, sg.codim_ordinary, sg.codim_table])
+def test_codim_degree_is_exactly_a_positive_int(ground, f, n):
+    # a bool is an int subclass, and True used to be taken as degree 1
+    with pytest.raises(ValueError, match="codimension degree must be a positive integer"):
+        f(ground, n)
+
+
 def test_codim_table_roots(ground):
     rows = sg.codim_table(ground, 3)
     assert [(n, v) for n, v, _ in rows] == [(1, 1), (2, 1), (3, 1)]

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import DEFAULT_CONFIG, _word_columns
+from stargraded.analysis import DEFAULT_CONFIG, _odd_central_unit, _word_columns, kind_basis
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
-from stargraded.core import sparse_mul
+from stargraded.core import sparse_mul, sparse_star
 from stargraded.errors import SizeCapError
 from stargraded.linalg import RankTracker, _as_num
+from stargraded.polynomials import KINDS
 
 # one small member of each classified family, both flavors of mn_cmn_star
 FAMILIES = (
@@ -250,6 +251,98 @@ def test_prefix_memo_is_scoped_to_one_call(spec):
         assert sg.codim_graded(A, n).content_ranks == first.content_ranks
 
 
+# ------------------------------------------------------------------ odd central unit
+
+
+def content_domains(A, content):
+    return [d for c, k in zip(content, KINDS) for d in [kind_basis(A, k)] * c]
+
+
+def count_sweeps(monkeypatch):
+    calls = [0]
+    original = analysis._assignment_rank
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_assignment_rank", counted)
+    return calls
+
+
+def left_mul_is_injective(A, c):
+    return RankTracker(sparse_mul(A, c, {i: 1}) for i in range(A.dim)).rank == A.dim
+
+
+# the members of FAMILIES with an odd central unit, a direct sum whose unit is the
+# sum of the odd center's basis vectors, and a relabeled basis with Fraction constants
+ODD_UNIT_CASES = [
+    *((spec, 0, 4) for spec in FAMILIES if spec.startswith("mn_cmn")),
+    ("mn_cmn_star:1,t+mn_cmn_star:1,t", 0, 4),
+    ("mn_cmn_star:2,t", 1, 4),
+]
+
+
+@pytest.mark.parametrize("spec,salt,n_max", ODD_UNIT_CASES)
+def test_classes_give_every_content_its_unreduced_rank(monkeypatch, spec, salt, n_max):
+    """Each content's reported rank against the direct enumeration of that
+    content's own slots, with no codim_graded call on the reference side."""
+    A = parse_algebra_spec(spec)
+    if salt:
+        A = rescaled(A, scales_for(A.dim, salt))
+    eps, c = _odd_central_unit(A)
+    assert left_mul_is_injective(A, c)
+    assert all(A.grading[k] == 1 for k in c)
+    assert sparse_star(A, c) == {k: eps * x for k, x in c.items()}
+    calls = count_sweeps(monkeypatch)
+    for n in range(1, n_max + 1):
+        calls[0] = 0
+        rep = sg.codim_graded(A, n)
+        assert calls[0] == n + 1
+        assert len(rep.content_ranks) == comb(n + 3, 3)
+        for content, r in rep.content_ranks.items():
+            assert reference_assignment_rank(A, content_domains(A, content), {}) == r, content
+
+
+def test_the_unit_of_a_direct_sum_is_its_odd_center_summed():
+    A = parse_algebra_spec("mn_cmn_star:1,t+mn_cmn_star:1,t")
+    _, c = _odd_central_unit(A)
+    half = A.dim // 2
+    assert any(k < half for k in c) and any(k >= half for k in c)
+    assert _odd_central_unit(A) is _odd_central_unit(A)
+
+
+def central(A, v):
+    return all(sparse_mul(A, v, {i: 1}) == sparse_mul(A, {i: 1}, v) for i in range(A.dim))
+
+
+@pytest.mark.parametrize("spec,odd_center", [
+    ("m_hl_transpose:1,1", 0),
+    ("mn_cmn_star:1,t+m_hl_transpose:1,0", 1),
+])
+def test_no_odd_unit_sweeps_every_content(monkeypatch, spec, odd_center):
+    """(c, 0) in a direct sum is odd and central but kills the other summand,
+    so it is no unit and every content is swept on its own."""
+    A = parse_algebra_spec(spec)
+    odd = [v for k in ("z+", "z-") for v in kind_basis(A, k) if central(A, v)]
+    assert len(odd) == odd_center
+    assert not any(left_mul_is_injective(A, v) for v in odd)
+    assert _odd_central_unit(A) is None
+    calls = count_sweeps(monkeypatch)
+    for n in range(1, 5):
+        calls[0] = 0
+        rep = sg.codim_graded(A, n)
+        assert calls[0] == len(rep.content_ranks) == comb(n + 3, 3)
+        for content, r in rep.content_ranks.items():
+            assert reference_assignment_rank(A, content_domains(A, content), {}) == r, content
+
+
+def test_bruteforce_checks_the_classes():
+    A = parse_algebra_spec("mn_cmn_exchange:1")
+    assert _odd_central_unit(A) is not None
+    assert sg.codim_graded_bruteforce(A, 4) == sg.codim_graded(A, 4).value == 256
+
+
 # ------------------------------------------------------------------ closed forms
 
 
@@ -281,7 +374,7 @@ def count_words(monkeypatch):
 @pytest.mark.parametrize("spec,graded,n,value,words", [
     ("m_hl_transpose:1,1", False, 5, 91, 56),  # product order: 1024
     ("m_hl_transpose:1,1", True, 6, 4033, 84),  # 247
-    ("mn_cmn_star:2,t", True, 5, 13792, 792),  # 2736
+    ("mn_cmn_star:2,t", True, 5, 13792, 56),  # 364 over its 6 classes
 ])
 def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, words):
     A = parse_algebra_spec(spec)
@@ -293,12 +386,14 @@ def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, 
 
 # comments: the products made; those made when each representative multiplies
 # its own prefixes; and those of the same sweep with every word multiplied out
-# and the columns inserted in orbit order
+# and the columns inserted in orbit order. mn_cmn_star:2,t sweeps its 6 classes
+# of contents here and below, and its odd unit search adds 8 products and 8
+# rank insertions to the counts that the tests read
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
     ("m_hl_transpose:1,1", False, 5, 91, 300),  # 240; 1,024; 5,584
     ("m_hl_transpose:1,1", False, 6, 346, 600),  # 496; 2,608; 29,736
     ("m_hl_transpose:1,1", True, 6, 4033, 3_000),  # 2,656; 7,672; 106,920
-    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 22,144; 66,048; 187,104
+    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 840; 2,200; 13,648
 ])
 def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
@@ -317,7 +412,7 @@ def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, val
     ("m_hl_transpose:1,1", False, 5, 91, 150),  # 112; 128
     ("m_hl_transpose:1,1", False, 6, 346, 300),  # 240; 256
     ("m_hl_transpose:1,1", True, 6, 4033, 1_000),  # 840; 1,816
-    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 3,456; 18,688
+    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 256; 584
 ])
 def test_last_products_skip_sparse_mul(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
@@ -359,7 +454,7 @@ def recording(monkeypatch):
 # distinct orbit column sparsest first
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
     ("m_hl_transpose:1,1", False, 6, 346, 500),  # 450; 1,653
-    ("mn_cmn_star:2,t", True, 5, 13792, 2_200),  # 2,048; 3,468
+    ("mn_cmn_star:2,t", True, 5, 13792, 2_200),  # 203; 423
 ])
 def test_spinning_bounds_the_rank_insertions(recording, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
