@@ -191,7 +191,25 @@ def _first_nonzero(A, m, kind, deleted, meter):
     any order and their multiples. A pinned deleted gap has one option and
     its states are the extension of the parent's, so it is not recorded.
     Skipped options are exactly ones the plain search finds empty or
-    vanishing, so the first witness is the same."""
+    vanishing, so the first witness is the same.
+
+    Whole alternating tuples are skipped by symmetry. Each signed
+    automorphism g of A (_signed_automorphisms) that maps every vector of
+    kind_basis(A, kind) to plus or minus another permutes the tuples, and
+    a tuple T is skipped when some g maps it to a lexicographically earlier
+    tuple g(T). That is exact: every earlier tuple has vanished, since the
+    sweep returns at its first nonzero value, and g commutes with evaluation
+    while the connectors range over a basis of A, so the family vanishes on
+    T exactly when it vanishes on g(T). The first nonzero tuple is therefore
+    never skipped, and the answer and the first witness do not change. A
+    skipped tuple still charges its one unit. The automorphisms are cached
+    on the algebra. When they are not yet known, the search for them starts
+    before the next tuple once this sweep has charged as many units as the
+    search's own charge, dim A squared, and it charges that to meter under
+    a stage of its own. So a sweep that ends first, or that has one tuple,
+    never starts it, and a sweep that does start it has already done at
+    least as much work as the search is charged: the search can at most
+    double a sweep that finds its witness soon after."""
     alt_dom = kind_basis(A, kind)
     conn_dom = kind_basis(A, ANY)
     if m > len(alt_dom):
@@ -240,8 +258,17 @@ def _first_nonzero(A, m, kind, deleted, meter):
                 return hit
         return None
 
+    autos = A._automorphisms
+    maps = None if autos is None else _tuple_maps(A, kind, autos)
+    search_charge = dim * dim
+    start = meter.work
     for alt_idx in combinations(range(len(alt_dom)), m):
+        if maps is None and meter.work - start >= search_charge:
+            meter.charge(search_charge, f"automorphism search on {dim} basis vectors")
+            maps = _tuple_maps(A, kind, _signed_automorphisms(A, search_charge))
         meter.charge(1, stage)
+        if maps and any(tuple(sorted(map(g.__getitem__, alt_idx))) < alt_idx for g in maps):
+            continue
         alt_vecs = [alt_dom[t] for t in alt_idx]
         slot = {offset + a: t for t, a in enumerate(alt_idx)}
         alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
@@ -252,6 +279,227 @@ def _first_nonzero(A, m, kind, deleted, meter):
             dels, conn, value = hit
             return _raw_witness(CapelliShape(m, kind, dels), alt_vecs, conn, value)
     return None
+
+
+def _is_automorphism(A, p, s):
+    """True when e_i -> s[i] e_{p[i]} is an automorphism of A: p permutes
+    range(dim), each s[i] is 1 or -1, and the map keeps the grading, the
+    involution and every structure constant. Each row of products goes to a
+    row with as many nonzero products, so zero products go to zero products."""
+    dim = A.dim
+    if sorted(p) != list(range(dim)) or len(s) != dim or any(x not in (1, -1) for x in s):
+        return False
+    if any(A.grading[p[i]] != A.grading[i] for i in range(dim)):
+        return False
+    rows = A.pair_rows()
+    for i, row in enumerate(rows):
+        image = rows[p[i]]
+        if len(image) != len(row):
+            return False
+        for j, terms in row.items():
+            if dict(image.get(p[j], ())) != {p[k]: s[i] * s[j] * s[k] * c for k, c in terms}:
+                return False
+    return all(
+        A.star_sparse(p[k]) == {p[r]: s[k] * s[r] * c for r, c in A.star_sparse(k).items()} for k in range(dim)
+    )
+
+
+def _solve_signs(A, p, rows, stars):
+    """Signs s, free ones +1, for which e_i -> s[i] e_{p[i]} matches every
+    structure constant and star entry of A up to the permutation, or None.
+    Each entry c of e_i e_j at e_k, against c' of the image, is the equation
+    s_i s_j s_k = c'/c over GF(2), and a star entry the equation s_k s_r = c'/c;
+    they are eliminated as bit masks."""
+    pivots = {}
+
+    def equation(mask, c, image):
+        if image not in (c, -c):
+            return False
+        bit = int(image != c)
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = (mask, bit)
+                return True
+            pmask, pbit = pivots[low]
+            mask ^= pmask
+            bit ^= pbit
+        return bit == 0
+
+    for i, row in enumerate(rows):
+        image = rows[p[i]]
+        for j, terms in row.items():
+            want = dict(image.get(p[j], ()))
+            for k, c in terms:
+                if not equation((1 << i) ^ (1 << j) ^ (1 << k), c, want.get(p[k], 0)):
+                    return None
+    for k, col in enumerate(stars):
+        want = stars[p[k]]
+        for r, c in col.items():
+            if not equation((1 << k) ^ (1 << r), c, want.get(p[r], 0)):
+                return None
+    negative = 0
+    for low in sorted(pivots, reverse=True):
+        mask, bit = pivots[low]
+        if bit ^ (bin(mask & negative).count("1") & 1):
+            negative |= low
+    return tuple(-1 if negative >> i & 1 else 1 for i in range(A.dim))
+
+
+def _signed_automorphisms(A, limit):
+    """The signed permutations (p, s) of the basis found to be automorphisms
+    of A, closed under composition with one sign vector per permutation;
+    cached on the algebra beside the odd central unit.
+
+    The search reads only pair_rows() and the star images, so it needs no
+    layout and works on any relabeled document. It assigns permutation
+    images by individualization and propagation. An element may only go to
+    one of equal colour, a tuple of invariants under signed automorphisms.
+    Each branch fixes the image of the next unassigned element in a
+    breadth-first order through the one-term products, and each assignment
+    forces what it determines: the image of a one-term star image, and that
+    of e_l for a one-term product e_i e_k = c e_l once e_i and e_k are
+    assigned. Signs are not branched on: at a full assignment they are
+    solved (_solve_signs), so what is found does not depend on the signs of
+    the basis.
+
+    Invariant: an element is kept only after _is_automorphism has checked it
+    against every structure constant, the grading and the involution, and a
+    composition of kept elements is an automorphism. So the result holds
+    automorphisms only; it may miss some, which only makes the sweep skip
+    fewer tuples. Charge: the caller charges limit, dim A squared, to its
+    Meter before calling, and the search stops once it has taken limit
+    steps, one per assignment it propagates, dim per full assignment it
+    checks and one per composition, and keeps what it has found."""
+    if A._automorphisms is not None:
+        return A._automorphisms
+    dim = A.dim
+    rows = A.pair_rows()
+    stars = [A.star_sparse(k) for k in range(dim)]
+    # invariants of e_i under signed automorphisms: its degree, its star
+    # image's shape and its coefficient at e_i, and how many e_i e_j and
+    # e_j e_i are nonzero
+    lefts = [0] * dim
+    for row in rows:
+        for j in row:
+            lefts[j] += 1
+    colour = [(A.grading[i], stars[i].get(i, 0), len(stars[i]), len(rows[i]), lefts[i]) for i in range(dim)]
+    cells = {}
+    for j in range(dim):
+        cells.setdefault(colour[j], []).append(j)
+    # one-term products e_i e_k = c e_l as triples (i, k, l), listed under
+    # both factors: once both are assigned, the image of l is forced
+    triples = [[] for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for k, terms in row.items():
+            if len(terms) == 1:
+                for x in {i, k}:
+                    triples[x].append((i, k, terms[0][0]))
+    # branch in breadth-first order through the triples, from the elements
+    # of the smallest cells, so that each branch meets assigned neighbours
+    order, seen = [], [False] * dim
+    for root in sorted(range(dim), key=lambda y: len(cells[colour[y]])):
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+            for x in order[len(order) - 1 :]:
+                for t in triples[x]:
+                    for y in t:
+                        if not seen[y]:
+                            seen[y] = True
+                            order.append(y)
+    # p is the partial permutation and inv its inverse, -1 where unassigned;
+    # trail lists the assigned elements in order, so a branch is undone by
+    # cutting it back, and the search needs no recursion
+    p, inv, trail = [-1] * dim, [-1] * dim, []
+    budget = limit
+    found = {}
+
+    def assign(i, j):
+        if p[i] >= 0:
+            return p[i] == j
+        if j < 0 or inv[j] >= 0 or colour[i] != colour[j]:
+            return False
+        p[i], inv[j] = j, i
+        trail.append(i)
+        return True
+
+    def propagate(pos):
+        nonlocal budget
+        while pos < len(trail):
+            budget -= 1
+            if budget < 0:
+                return False
+            x = trail[pos]
+            pos += 1
+            if len(stars[x]) == 1:
+                (r,), (image,) = stars[x], stars[p[x]]
+                if not assign(r, image):
+                    return False
+            for i, k, l in triples[x]:
+                if p[i] >= 0 and p[k] >= 0:
+                    image = rows[p[i]].get(p[k], ())
+                    if not assign(l, image[0][0] if len(image) == 1 else -1):
+                        return False
+        return True
+
+    # a frame is [position in order, next candidate, trail length before it]
+    frames = [[0, 0, 0]] if dim else []
+    while frames and budget >= 0:
+        frame = frames[-1]
+        at, c, size = frame
+        while len(trail) > size:
+            x = trail.pop()
+            inv[p[x]] = -1
+            p[x] = -1
+        i = order[at]
+        if c == len(cells[colour[i]]):
+            frames.pop()
+            continue
+        frame[1] += 1
+        if not (assign(i, cells[colour[i]][c]) and propagate(size)):
+            continue
+        at = next((t for t in range(at + 1, dim) if p[order[t]] < 0), dim)
+        if at < dim:
+            frames.append([at, 0, len(trail)])
+            continue
+        budget -= dim
+        signs = _solve_signs(A, p, rows, stars)
+        if signs is not None and _is_automorphism(A, p, signs):
+            found[tuple(p)] = signs
+    gens = list(found.items())
+    frontier = gens
+    while frontier:
+        grown = []
+        for (pa, sa), (pb, sb) in product(frontier, gens):
+            budget -= 1
+            if budget < 0:
+                break
+            pc = tuple(pa[x] for x in pb)
+            if pc not in found:
+                found[pc] = tuple(sb[i] * sa[x] for i, x in enumerate(pb))
+                grown.append((pc, found[pc]))
+        frontier = grown
+    A._automorphisms = tuple(found.items())
+    return A._automorphisms
+
+
+def _tuple_maps(A, kind, autos):
+    """The distinct non-identity permutations of the indices of
+    kind_basis(A, kind) that the automorphisms autos induce; one that maps
+    some basis vector of the kind to no plus or minus basis vector is not
+    used."""
+    basis = kind_basis(A, kind)
+    index = {}
+    for t, v in enumerate(basis):
+        index[frozenset(v.items())] = index[frozenset((k, -c) for k, c in v.items())] = t
+    identity = tuple(range(len(basis)))
+    maps = set()
+    for p, s in autos:
+        image = tuple(index.get(frozenset((p[k], s[k] * c) for k, c in v.items()), -1) for v in basis)
+        if -1 not in image and image != identity:
+            maps.add(image)
+    return sorted(maps)
 
 
 def _build_witness(A, raw):

@@ -115,6 +115,7 @@ class StarSuperAlgebra:
         self._radical = None
         self._kind_bases = {}
         self._odd_unit = None  # analysis._odd_central_unit: () when searched and none found
+        self._automorphisms = None  # analysis._signed_automorphisms: () when searched and none found
         self._right_products = None
 
     def pair_rows(self):

@@ -415,6 +415,19 @@ def test_barred_sweep_refusal_reports_its_work(tmp_path):
     assert 10_000 < work <= 40_612
 
 
+def test_refusal_inside_the_automorphism_search_reports_its_work(tmp_path):
+    # UT3's z+ ranks 1-5 charge 1,993 units before the rank-5 sweep starts the
+    # search, which charges 36^2 = 1,296 at once
+    path = tmp_path / "ut3.json"
+    components = "+".join(["m_hl_transpose:1,1"] * 3)
+    assert run("--out", str(path), "ut", "--components", components).exit_code == 0
+    res = run("--cap-evals", "3000", "threshold", "--input", str(path), "--kind", "z+")
+    assert res.exit_code == 2
+    assert res.output.startswith(
+        "refused: automorphism search on 36 basis vectors: 3289 units of work in this call, over the cap 3000"
+    )
+
+
 def scaled_m11(tmp_path, coeff):
     """M_{1,1} on the basis s*e_ij, whose structure constants are all s = coeff."""
     doc = sg.to_interchange(sg.m_hl_transpose(1, 1))

@@ -11,7 +11,16 @@ from test_codim_orbits import rescaled, scales_for
 
 import stargraded as sg
 from stargraded import analysis
-from stargraded.analysis import Meter, RunConfig, _build_witness, _first_nonzero, _raw_witness, kind_basis
+from stargraded.analysis import (
+    Meter,
+    RunConfig,
+    _build_witness,
+    _first_nonzero,
+    _is_automorphism,
+    _raw_witness,
+    _signed_automorphisms,
+    kind_basis,
+)
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
@@ -19,6 +28,11 @@ from stargraded.linalg import RankTracker, _as_num
 from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member, perm_sign
 
 UNCAPPED = RunConfig(cap_evals=10**12)
+
+
+def ut3():
+    """UT3, built afresh: the sweep caches the automorphisms it finds on the algebra."""
+    return sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
 
 
 # ------------------------------------------------- reference: the plain sweep
@@ -281,45 +295,53 @@ def test_rank6_zplus_proof_product_count(sweep_work):
     # table the span-pruned sweep made 54,532, a sweep that skips only exact
     # repeats of the joined states about 96,500 and the unpruned one 1,671,136
     assert 0 < products < 2_000
-    assert adds == 40_528
-    assert extends == 12_596
+    # the automorphism search starts once the sweep has charged 36^2 units and
+    # then 27 of the 84 alternating tuples are swept: 40,528 adds -> 13,703 and
+    # 12,596 extends -> 4,238. The per-tuple sweep alone is pinned below
+    assert adds == 13_703
+    assert extends == 4_238
 
 
 def test_rank6_zplus_proof_budget_is_its_counted_work():
-    # one unit per alternating tuple, C(9, 6) = 84, and one per option tried at a
-    # gap, the 40,528 insertions pinned above: 40,612 in all
-    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
-    assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=40_612))
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 40612 units of work in this call, over the cap 40611"):
-        sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=40_611))
+    # one unit per alternating tuple, C(9, 6) = 84, skipped or not, one per
+    # option tried at a gap, the 13,703 insertions pinned above, and the
+    # automorphism search's 36^2 = 1,296: 15,083 in all (40,612 before the
+    # search, with 40,528 insertions and no search). The search's result is
+    # cached on the algebra, so each call gets a fresh one
+    assert sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=15_083))
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 15083 units of work in this call, over the cap 15082"):
+        sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=15_082))
 
 
 def test_threshold_ranks_share_one_budget():
     # UT3's z+ threshold is 6: witnesses at ranks 1-5, the rank-6 proof, and the
     # re-sweep of ranks 7-10, where rank 10 is over the dimension and costs
-    # nothing. The call's budget is the sum of every rank's units, 81,454, far
-    # above the largest rank's 40,612
-    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    # nothing. The call's budget is the sum of every rank's units, 32,212, far
+    # above the largest rank's 13,020. Rank 5 starts the automorphism search
+    # (1,913 + 1,296 units) and the later ranks skip tuples by it: before the
+    # search the ranks cost [1, 34, 49, 57, 1,913, 40,612, 26,982, 10,150,
+    # 1,656, 0], 81,454 in all
+    A = ut3()
     meter = Meter(UNCAPPED)
     units = []
     for m in range(1, 11):
         before = meter.work
         _first_nonzero(A, m, "z+", None, meter)
         units.append(meter.work - before)
-    assert units == [1, 34, 49, 57, 1_913, 40_612, 26_982, 10_150, 1_656, 0]
-    assert sg.capelli_threshold(A, "z+", RunConfig(cap_evals=81_454)).threshold == 6
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 81454 units of work in this call, over the cap 81453"):
-        sg.capelli_threshold(A, "z+", RunConfig(cap_evals=81_453))
+    assert units == [1, 34, 49, 57, 3_209, 13_020, 9_921, 4_265, 1_656, 0]
+    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=32_212)).threshold == 6
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 32212 units of work in this call, over the cap 32211"):
+        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=32_211))
 
 
 def test_generator_set_members_share_one_budget():
     # the 32 members of the rank-6 barred z+ set on UT3 are identities; swept
-    # one by one, the largest costs 35,122 units and all of them 331,816
-    A = sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    # one by one, the largest costs 13,198 units and all of them 109,181, the
+    # automorphism search's 1,296 among them (35,122 and 331,816 before it)
     members = sg.barred_capelli_set(6, "z+")
-    assert sg.satisfies_generator_set(A, members, RunConfig(cap_evals=331_816)).satisfied
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 331816 units of work in this call, over the cap 331815"):
-        sg.satisfies_generator_set(A, members, RunConfig(cap_evals=331_815))
+    assert sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=109_181)).satisfied
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 109181 units of work in this call, over the cap 109180"):
+        sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=109_180))
 
 
 def test_exchange_thresholds_carry_the_sweeps_witnesses_at_default_caps():
@@ -344,3 +366,97 @@ def test_sweep_work_is_the_same_on_every_signed_relabeling(sweep_work):
             assert sg.barred_rank_is_identity(A, "z+", m, UNCAPPED) is identity
             counts.setdefault(m, set()).add(sweep_work())
     assert all(len(seen) == 1 for seen in counts.values()), counts
+
+
+# ------------------------------------------------- skipping by automorphisms
+
+
+def without_automorphisms(A):
+    """A with its automorphism cache pre-seeded as searched with none found,
+    so that the sweep visits every alternating tuple."""
+    A._automorphisms = ()
+    return A
+
+
+def test_rank6_zplus_proof_without_automorphisms_keeps_its_counts(sweep_work):
+    # the per-tuple sweep is untouched: with no automorphism known it makes the
+    # counts pinned before the search existed
+    A = without_automorphisms(ut3())
+    kind_basis(A, "z+"), kind_basis(A, ANY)
+    sweep_work()
+    meter = Meter(UNCAPPED)
+    assert _first_nonzero(A, 6, "z+", None, meter) is None
+    _, adds, extends = sweep_work()
+    assert (adds, extends, meter.work) == (40_528, 12_596, 40_612)
+
+
+def test_rank6_zplus_proof_sweeps_one_tuple_per_orbit(monkeypatch):
+    # the 84 alternating tuples fall into 27 orbits under UT3's automorphisms,
+    # and each tuple swept starts one RankTracker per gap, 5 at rank 6
+    A = ut3()
+    _signed_automorphisms(A, A.dim**2)
+    trackers = []
+
+    class Counted(RankTracker):
+        def __init__(self):
+            trackers.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(analysis, "RankTracker", Counted)
+    meter = Meter(UNCAPPED)
+    assert _first_nonzero(A, 6, "z+", None, meter) is None
+    assert len(trackers) == 5 * 27
+    # every tuple charges its unit, skipped or not, and the 27 swept try
+    # 12,936 options
+    assert meter.work == 84 + 12_936
+
+
+def test_skipping_by_automorphisms_keeps_every_answer():
+    # witnesses below each threshold and identities from it on, with every
+    # deletion pattern and with one pinned pattern, against the sweep that
+    # knows no automorphism
+    searched, plain = ut3(), without_automorphisms(ut3())
+    for kind, ranks in (("z+", (5, 6, 7)), ("y+", (8, 9, 10))):
+        for m in ranks:
+            for deleted in (None, pinned_patterns(m)[1]):
+                got = _first_nonzero(searched, m, kind, deleted, Meter(UNCAPPED))
+                assert got == _first_nonzero(plain, m, kind, deleted, Meter(UNCAPPED)), (kind, m, deleted)
+    assert len({p for p, _ in searched._automorphisms}) == 4
+
+
+def test_automorphisms_found_on_ut3_pass_the_check():
+    A = ut3()
+    autos = _signed_automorphisms(A, A.dim**2)
+    assert all(_is_automorphism(A, p, s) for p, s in autos)
+    assert len({p for p, _ in autos}) == 4
+    assert _signed_automorphisms(A, 0) is autos
+    # signs are solved, not branched on, so a signed relabeling has the same
+    # permutation parts and the sweep skips the same tuples on it
+    for seed in (1, 2):
+        B = relabel(A, seed)
+        assert {p for p, _ in _signed_automorphisms(B, B.dim**2)} == {p for p, _ in autos}
+
+
+def test_automorphism_check_refuses_a_broken_product_or_star():
+    M11, SP = parse_algebra_spec("m_hl_transpose:1,1"), parse_algebra_spec("m_hh_symplectic:1")
+    swap, plus = (4, 5, 6, 7, 0, 1, 2, 3), (1,) * 8
+
+    def keeps_grading_and_star(A, p):
+        return all(A.grading[p[i]] == A.grading[i] for i in range(A.dim)) and all(
+            A.star_sparse(p[k]) == {p[r]: c for r, c in A.star_sparse(k).items()} for k in range(A.dim)
+        )
+
+    A = sg.direct_sum(M11, M11)
+    assert _is_automorphism(A, swap, plus)
+    # e11 and e22 of the first summand have the same degree and are their own
+    # star images, but e11 e12 = e12 while e22 e12 = 0
+    p = (3, 1, 2, 0, 4, 5, 6, 7)
+    assert keeps_grading_and_star(A, p)
+    assert not _is_automorphism(A, p, plus)
+    # the transpose and the symplectic star on M_{1,1} share products and
+    # degrees, so swapping the summands keeps every product and breaks the star
+    B = sg.direct_sum(M11, SP)
+    assert M11.structure == SP.structure and M11.grading == SP.grading
+    assert all(B.mul_pairs(i, j) == A.mul_pairs(i, j) for i in range(8) for j in range(8))
+    assert not keeps_grading_and_star(B, swap)
+    assert not _is_automorphism(B, swap, plus)
