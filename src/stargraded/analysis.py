@@ -291,7 +291,7 @@ def _is_automorphism(A, p, s):
         return False
     if any(A.grading[p[i]] != A.grading[i] for i in range(dim)):
         return False
-    rows = A.pair_rows()
+    rows = A.rows
     for i, row in enumerate(rows):
         image = rows[p[i]]
         if len(image) != len(row):
@@ -351,7 +351,7 @@ def _signed_automorphisms(A, limit):
     of A, closed under composition with one sign vector per permutation;
     cached on the algebra beside the odd central unit.
 
-    The search reads only pair_rows() and the star images, so it needs no
+    The search reads only A.rows and the star images, so it needs no
     layout and works on any relabeled document. It assigns permutation
     images by individualization and propagation. An element may only go to
     one of equal colour, a tuple of invariants under signed automorphisms.
@@ -374,7 +374,7 @@ def _signed_automorphisms(A, limit):
     if A._automorphisms is not None:
         return A._automorphisms
     dim = A.dim
-    rows = A.pair_rows()
+    rows = A.rows
     stars = [A.star_sparse(k) for k in range(dim)]
     # invariants of e_i under signed automorphisms: its degree, its star
     # image's shape and its coefficient at e_i, and how many e_i e_j and
@@ -639,7 +639,7 @@ def _word_columns(A, vecs, trie):
     children)}, keyed by factor identity. A node keeps its factor alive, so no
     id is reused while the trie is. Full words are not stored: within one
     codim_graded or codim_ordinary call no two representatives share one. A
-    word's last product is read from A.pair_rows() and summed straight into
+    word's last product is read from A.rows and summed straight into
     its columns, with no sparse_mul call and no dict of its own; a node with
     two slots left writes both orders itself. A column whose entries all
     cancel is not yielded."""
@@ -649,7 +649,7 @@ def _word_columns(A, vecs, trie):
             yield (c,)
         return
     nfact = factorial(n)
-    pairs = A.pair_rows()
+    rows = A.rows
     cols = {}
     copies = []
 
@@ -675,7 +675,7 @@ def _word_columns(A, vecs, trie):
             # two slots left: the word is value times the other slot's vector
             other = vecs[remaining[1 - a]].items()
             for i, ci in value.items():
-                row = pairs[i]
+                row = rows[i]
                 if not row:
                     continue
                 for j, cj in other:

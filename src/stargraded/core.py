@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .errors import CenterNotSplitError, InternalInconsistencyError
 from .linalg import RankTracker, Subspace, _as_num, mat_mul, nullspace, solve
@@ -80,10 +81,19 @@ def _coeff(c):
     raise ValueError(f"bad coefficient {c!r}: expected a rational such as \"-3/2\"")
 
 
+_nonzero_coeff = itemgetter(1)  # truthy exactly when the (k, c) pair has c != 0
+
+
 class StarSuperAlgebra:
     """Finite-dimensional superalgebra over Q given by structure constants, a 0/1
     grading on the basis, and an involution given as triples (r, k, c): the
-    star image of basis k has coefficient c on basis r."""
+    star image of basis k has coefficient c on basis r.
+
+    The products are held once, in rows: rows[i][j] is e_i e_j as its (k, c)
+    in ascending k, none with c = 0, and j is a key of rows[i] only when e_i e_j
+    is nonzero, in the order the pair (i, j) first appears in the structure.
+    Only the constructor builds rows, in one pass that checks every index and
+    coefficient and sums repeated (i, j, k) entries."""
 
     def __init__(self, dim, labels, structure, grading, involution, wedderburn=None, layout=None):
         if len(labels) != dim or len(grading) != dim:
@@ -91,11 +101,11 @@ class StarSuperAlgebra:
         for g in grading:
             if g not in (0, 1):
                 raise ValueError(f"grading bit {g!r} is not 0 or 1")
-        table = {}
+        rows = [{} for _ in range(dim)]
         for i, j, k, c in structure:
             _check_indices(dim, i, j, k)
-            row = table.setdefault((i, j), {})
-            row[k] = _as_num(row.get(k, 0) + _coeff(c))
+            terms = rows[i].setdefault(j, {})
+            terms[k] = _as_num(terms.get(k, 0) + _coeff(c))
         # a later involution entry for the same (r, k) replaces an earlier one
         columns = [{} for _ in range(dim)]
         for r, k, c in involution:
@@ -103,33 +113,20 @@ class StarSuperAlgebra:
             columns[k][r] = _coeff(c)
         self.dim = dim
         self.labels = tuple(labels)
-        self.structure = {
-            ij: nonzero for ij, row in table.items() if (nonzero := {k: c for k, c in row.items() if c != 0})
-        }
+        self.rows = [
+            {j: pr for j, terms in row.items() if (pr := tuple(sorted(filter(_nonzero_coeff, terms.items()))))}
+            for row in rows
+        ]
         self.grading = tuple(int(g) for g in grading)
         self._star = tuple({r: c for r, c in col.items() if c != 0} for col in columns)
         self.wedderburn = wedderburn
         self.layout = layout
-        self._pairs = None
         self._hom = None
         self._radical = None
         self._kind_bases = {}
         self._odd_unit = None  # analysis._odd_central_unit: () when searched and none found
         self._automorphisms = None  # analysis._signed_automorphisms: () when searched and none found
         self._right_products = None
-
-    def pair_rows(self):
-        """Row table of the products: pair_rows()[i][j] is mul_pairs(i, j) when nonzero."""
-        if self._pairs is None:
-            rows = [dict() for _ in range(self.dim)]
-            for (i0, j0), row in self.structure.items():
-                rows[i0][j0] = tuple(sorted(row.items()))
-            self._pairs = rows
-        return self._pairs
-
-    def mul_pairs(self, i, j):
-        """Sparse product of basis i and basis j as a tuple of (index, coeff) pairs."""
-        return self.pair_rows()[i].get(j, ())
 
     def star_sparse(self, k):
         """Image of basis k under the involution, as a sparse dict."""
@@ -141,7 +138,7 @@ class StarSuperAlgebra:
 
 def sparse_mul(A, u, v):
     """Product of two sparse vectors under A's structure table."""
-    rows = A.pair_rows()
+    rows = A.rows
     out = {}
     for i, ci in u.items():
         row = rows[i]
@@ -194,12 +191,13 @@ def validate(A):
     products all vanish costs nothing; it is still checked, as a zero difference."""
     report = []
     d = A.dim
-    rows = A.pair_rows()
+    rows = A.rows
     # landing[m]: the (j, k, c) with c the e_m coefficient of e_j e_k
     landing = [[] for _ in range(d)]
-    for (j, k), row in A.structure.items():
-        for m, c in row.items():
-            landing[m].append((j, k, c))
+    for j, row in enumerate(rows):
+        for k, jk in row.items():
+            for m, c in jk:
+                landing[m].append((j, k, c))
     # associativity on all basis triples, one left factor i at a time:
     # diff[(j, k, t)] is the e_t coefficient of (e_i e_j) e_k - e_i (e_j e_k)
     for i in range(d):
@@ -216,11 +214,12 @@ def validate(A):
         for j, k in _failing(diff):
             report.append(f"associativity fails at basis triple ({i},{j},{k})")
     # grading compatibility of products
-    for (i, j), row in A.structure.items():
-        deg = (A.grading[i] + A.grading[j]) % 2
-        for k in row:
-            if A.grading[k] != deg:
-                report.append(f"grading compatibility fails at product ({i},{j})->{k}")
+    for i, row in enumerate(rows):
+        for j, ij in row.items():
+            deg = (A.grading[i] + A.grading[j]) % 2
+            for k, _ in ij:
+                if A.grading[k] != deg:
+                    report.append(f"grading compatibility fails at product ({i},{j})->{k}")
     # involution order 2
     for k in range(d):
         if sparse_star(A, A.star_sparse(k)) != {k: 1}:
@@ -238,16 +237,18 @@ def validate(A):
     for k in range(d):
         for a, x in A.star_sparse(k).items():
             inv_rows[a].append((k, x))
+    # each nonzero e_a e_b adds its star image at (a, b) and takes its share of
+    # e_j* e_i* at every (i, j) with e_a in e_j* and e_b in e_i*
     diff = {}
-    for (i, j), row in A.structure.items():
-        for m, c in row.items():
-            for t, x in A.star_sparse(m).items():
-                diff[i, j, t] = diff.get((i, j, t), 0) + c * x
-    for (a, b), row in A.structure.items():
-        for j, x in inv_rows[a]:
-            for i, y in inv_rows[b]:
-                for t, c in row.items():
-                    diff[i, j, t] = diff.get((i, j, t), 0) - x * y * c
+    for a, row in enumerate(rows):
+        for b, ab in row.items():
+            for m, c in ab:
+                for t, x in A.star_sparse(m).items():
+                    diff[a, b, t] = diff.get((a, b, t), 0) + c * x
+            for j, x in inv_rows[a]:
+                for i, y in inv_rows[b]:
+                    for t, c in ab:
+                        diff[i, j, t] = diff.get((i, j, t), 0) - x * y * c
     for i, j in _failing(diff):
         report.append(f"antiautomorphism fails at basis pair ({i},{j})")
     return report
@@ -296,12 +297,7 @@ def subspace_product(A, U, V):
 
 def _left_trace_weights(A):
     # T[i] = trace of left multiplication by basis i on A
-    T = [0] * A.dim
-    for (i, j), row in A.structure.items():
-        c = row.get(j)
-        if c:
-            T[i] = _as_num(T[i] + c)
-    return T
+    return [_as_num(sum(c for j, ij in row.items() for k, c in ij if k == j)) for row in A.rows]
 
 
 def jacobson_radical(A):
@@ -313,8 +309,9 @@ def jacobson_radical(A):
     # Gram matrix of the trace form over the unit extension's basis (d algebra
     # vectors + adjoined unit): tr L_{e_i e_j} = sum_k c_ij^k T[k], zero when e_i e_j = 0
     G = [[0] * (d + 1) for _ in range(d + 1)]
-    for (i, j), row in A.structure.items():
-        G[i][j] = _as_num(sum(c * T[k] for k, c in row.items()))
+    for i, row in enumerate(A.rows):
+        for j, ij in row.items():
+            G[i][j] = _as_num(sum(c * T[k] for k, c in ij))
     for i in range(d):
         G[i][d] = G[d][i] = T[i]
     G[d][d] = d + 1
@@ -333,7 +330,7 @@ def jacobson_radical(A):
 def _verify_radical(A, J):
     # two-sided ideal, star- and grading-stable, nilpotent; the products e_i v and
     # v e_i are summed from the nonzero structure constants, so a vanishing one costs nothing
-    rows = A.pair_rows()
+    rows = A.rows
     by_right = [[] for _ in range(A.dim)]  # by_right[j]: (i, e_i e_j) when nonzero
     for i, row in enumerate(rows):
         for j, pr in row.items():
@@ -513,10 +510,11 @@ def commutator_images(A):
     center: images[j][i, k] is the e_k coefficient of e_i e_j - e_j e_i, with
     entries that cancel kept as zeros."""
     images = [{} for _ in range(A.dim)]
-    for (i, j), row in A.structure.items():
-        for k, c in row.items():
-            images[j][i, k] = images[j].get((i, k), 0) + c
-            images[i][j, k] = images[i].get((j, k), 0) - c
+    for i, row in enumerate(A.rows):
+        for j, ij in row.items():
+            for k, c in ij:
+                images[j][i, k] = images[j].get((i, k), 0) + c
+                images[i][j, k] = images[i].get((j, k), 0) - c
     return images
 
 
@@ -571,7 +569,7 @@ def central_primitive_idempotents(A):
 
 def is_star_graded_simple(A):
     """Nonzero square, zero radical, and no proper block subset closed under star and grading."""
-    if A.dim == 0 or not A.structure:
+    if not any(A.rows):
         return False
     if not jacobson_radical(A).is_zero():
         return False
@@ -593,9 +591,9 @@ def is_star_graded_simple(A):
 def direct_sum(A, B, label_prefixes=("l.", "r.")):
     """Block-diagonal sum with concatenated grading, involution, and Wedderburn data."""
     dA = A.dim
-    structure = [(i, j, k, c) for (i, j), row in A.structure.items() for k, c in row.items()]
+    structure = [(i, j, k, c) for i, row in enumerate(A.rows) for j, ij in row.items() for k, c in ij]
     structure += [
-        (i + dA, j + dA, k + dA, c) for (i, j), row in B.structure.items() for k, c in row.items()
+        (i + dA, j + dA, k + dA, c) for i, row in enumerate(B.rows) for j, ij in row.items() for k, c in ij
     ]
     inv = [(r, k, c) for k in range(dA) for r, c in A.star_sparse(k).items()]
     inv += [(r + dA, k + dA, c) for k in range(B.dim) for r, c in B.star_sparse(k).items()]
@@ -625,7 +623,7 @@ def _frac_str(x):
 def to_interchange(A):
     """Serialize to the interchange document (plain dict of JSON-ready values)."""
     structure = sorted(
-        (i, j, k, _frac_str(c)) for (i, j), row in A.structure.items() for k, c in row.items()
+        (i, j, k, _frac_str(c)) for i, row in enumerate(A.rows) for j, ij in row.items() for k, c in ij
     )
     involution = sorted([r, k, _frac_str(c)] for k in range(A.dim) for r, c in A.star_sparse(k).items())
     doc = {

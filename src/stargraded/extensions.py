@@ -59,11 +59,12 @@ def one_sided_radical_extension(A):
     _require_simple_unital(A)
     d = A.dim
     structure = []
-    for (i, j), row in A.structure.items():
-        for k, c in row.items():
-            structure.append((i, j, k, c))
-            structure.append((i, d + j, d + k, c))
-            structure.append((2 * d + i, j, 2 * d + k, c))
+    for i, row in enumerate(A.rows):
+        for j, ij in row.items():
+            for k, c in ij:
+                structure.append((i, j, k, c))
+                structure.append((i, d + j, d + k, c))
+                structure.append((2 * d + i, j, 2 * d + k, c))
     involution = []
     for k in range(d):
         for r, c in A.star_sparse(k).items():
@@ -93,23 +94,21 @@ def tensor_nilpotent_extension(A, N):
         return j * d + i
 
     structure = []
-    n_rows = {}
-    for (j, l), row in N.structure.items():
-        n_rows[(j + 1, l + 1)] = {k + 1: c for k, c in row.items()}
     for j in range(dn + 1):
         for l in range(dn + 1):
             if j == 0:
-                factor = {l: 1}
+                factor = ((l, 1),)
             elif l == 0:
-                factor = {j: 1}
+                factor = ((j, 1),)
             else:
-                factor = n_rows.get((j, l), {})
+                factor = tuple((k + 1, c) for k, c in N.rows[j - 1].get(l - 1, ()))
             if not factor:
                 continue
-            for (i, i2), row in A.structure.items():
-                for k, c in row.items():
-                    for jk, cn in factor.items():
-                        structure.append((idx(j, i), idx(l, i2), idx(jk, k), c * cn))
+            for i, row in enumerate(A.rows):
+                for i2, ii2 in row.items():
+                    for k, c in ii2:
+                        for jk, cn in factor:
+                            structure.append((idx(j, i), idx(l, i2), idx(jk, k), c * cn))
     involution = []
     for k in range(d):
         for r, c in A.star_sparse(k).items():

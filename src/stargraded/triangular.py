@@ -138,12 +138,13 @@ def _verify_ut(A, comps, block_index_ranges, radical):
                 raise InternalInconsistencyError("component star leaves the component")
             if {back[g]: c for g, c in star.items()} != comp.star_sparse(t):
                 raise InternalInconsistencyError(f"component {k} star differs at {t}")
-        for a in range(comp.dim):
+        for a, comp_row in enumerate(comp.rows):
+            row = A.rows[idx[a]]
             for b in range(comp.dim):
-                prod = A.mul_pairs(idx[a], idx[b])
+                prod = row.get(idx[b], ())
                 if not all(g in back for g, _ in prod):
                     raise InternalInconsistencyError("component product leaves the component")
-                if {back[g]: c for g, c in prod} != dict(comp.mul_pairs(a, b)):
+                if {back[g]: c for g, c in prod} != dict(comp_row.get(b, ())):
                     raise InternalInconsistencyError(f"component {k} products differ")
     if jacobson_radical(A) != coordinate_span(A.dim, radical):
         raise InternalInconsistencyError("radical is not the strict upper part")

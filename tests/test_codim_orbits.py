@@ -135,7 +135,7 @@ def rescaled(A, scales):
     B = sg.from_interchange(doc)
     assert sg.validate(B) == []
     # the point of rescaling: Fraction structure constants, hence Fraction columns
-    assert any(isinstance(c, Fraction) for row in B.structure.values() for c in row.values())
+    assert any(isinstance(c, Fraction) for row in B.rows for ij in row.values() for _, c in ij)
     return B
 
 

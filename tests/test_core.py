@@ -1,6 +1,7 @@
 """Core algebra type: validation, homogeneous parts, radical, Peirce pieces,
 simplicity, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,25 @@ def test_involution_triples_keep_the_last_entry_and_drop_zeros():
     assert [A.star_sparse(k) for k in range(2)] == [{0: 1}, {1: 1}]
     with pytest.raises(ValueError, match="outside range"):
         StarSuperAlgebra(2, ("a", "b"), [], (0, 0), [(0, 2, 1)])
+
+
+def test_structure_entries_are_summed_and_zeros_dropped():
+    entries = [(0, 0, 0, 1), (0, 0, 1, 2), (0, 0, 0, "1/2"), (0, 1, 1, 3), (0, 1, 1, -3),
+               (1, 0, 1, 1), (1, 0, 0, 0), (0, 0, 1, -2), (1, 0, 1, Fraction(1, 3))]
+    star = [(0, 0, 1), (1, 1, 1)]
+    A = StarSuperAlgebra(2, ("a", "b"), entries, (0, 0), star)
+    # repeated (i, j, k) entries are summed, a zero sum is dropped, and the
+    # pair (0, 1), whose terms all cancel, has no key
+    assert A.rows == [{0: ((0, Fraction(3, 2)),)}, {0: ((1, Fraction(4, 3)),)}]
+    cancelled = StarSuperAlgebra(2, ("a", "b"), [(0, 1, 1, 3), (0, 1, 1, -3)], (0, 0), star)
+    assert cancelled.rows == [{}, {}]
+    assert not sg.is_star_graded_simple(cancelled)
+    with pytest.raises(ValueError, match="outside range"):
+        StarSuperAlgebra(2, ("a", "b"), [(0, 1, 2, 1)], (0, 0), star)
+    # the same entries in another order hold the same products and serialize alike
+    shuffled = StarSuperAlgebra(2, ("a", "b"), entries[::-1], (0, 0), star)
+    assert shuffled.rows == A.rows
+    assert json.dumps(sg.to_interchange(shuffled)) == json.dumps(sg.to_interchange(A))
 
 
 @pytest.mark.parametrize("c,value", [

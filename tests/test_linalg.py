@@ -236,8 +236,9 @@ def test_component_and_radical_bases_match_the_dense_reference(spec):
     # the trace-form Gram matrix of jacobson_radical, reduced the old way
     T = core._left_trace_weights(A)
     G = [[0] * (d + 1) for _ in range(d + 1)]
-    for (i, j), row in A.structure.items():
-        G[i][j] = _as_num(sum(c * T[k] for k, c in row.items()))
+    for i, row in enumerate(A.rows):
+        for j, ij in row.items():
+            G[i][j] = _as_num(sum(c * T[k] for k, c in ij))
     for i in range(d):
         G[i][d] = G[d][i] = T[i]
     G[d][d] = d + 1

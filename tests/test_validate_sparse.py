@@ -31,11 +31,12 @@ def reference_validate(A):
             for k in range(d):
                 if mul(A, ij, {k: 1}) != mul(A, {i: 1}, prods[j][k]):
                     report.append(f"associativity fails at basis triple ({i},{j},{k})")
-    for (i, j), row in A.structure.items():
-        deg = (A.grading[i] + A.grading[j]) % 2
-        for k in row:
-            if A.grading[k] != deg:
-                report.append(f"grading compatibility fails at product ({i},{j})->{k}")
+    for i, row in enumerate(A.rows):
+        for j, ij in row.items():
+            deg = (A.grading[i] + A.grading[j]) % 2
+            for k, _ in ij:
+                if A.grading[k] != deg:
+                    report.append(f"grading compatibility fails at product ({i},{j})->{k}")
     m = [[A.star_sparse(k).get(r, 0) for k in range(d)] for r in range(d)]
     sq = mat_mul(m, m)
     for k in range(d):
