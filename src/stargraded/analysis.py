@@ -7,7 +7,6 @@ from math import factorial, perm, prod
 from operator import itemgetter
 
 from .core import (
-    _kernel,
     commutator_images,
     hom_components,
     jacobson_radical,
@@ -17,7 +16,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeCapError
 from .families import classified_hom_dims
-from .linalg import RankTracker, _as_num, coordinate_span
+from .linalg import RankTracker, _as_num, _kernel, coordinate_span
 from .polynomials import (
     ANY,
     KINDS,

@@ -9,7 +9,7 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import CenterNotSplitError, InternalInconsistencyError
-from .linalg import RankTracker, Subspace, _as_num, mat_mul, nullspace, solve
+from .linalg import Subspace, _as_num, _kernel, mat_mul, solve
 
 
 @dataclass(frozen=True)
@@ -306,22 +306,18 @@ def jacobson_radical(A):
         return A._radical
     d = A.dim
     T = _left_trace_weights(A)
-    # Gram matrix of the trace form over the unit extension's basis (d algebra
-    # vectors + adjoined unit): tr L_{e_i e_j} = sum_k c_ij^k T[k], zero when e_i e_j = 0
-    G = [[0] * (d + 1) for _ in range(d + 1)]
+    # the trace form on the unit extension's basis (d algebra vectors + adjoined
+    # unit), one sparse row each: tr L_{e_i e_j} = sum_k c_ij^k T[k], and tr L_1 = d + 1
+    gram = [{} for _ in range(d + 1)]
     for i, row in enumerate(A.rows):
         for j, ij in row.items():
-            G[i][j] = _as_num(sum(c * T[k] for k, c in ij))
-    for i in range(d):
-        G[i][d] = G[d][i] = T[i]
-    G[d][d] = d + 1
-    tr = RankTracker(G)
-    kernel = tr.kernel(d + 1)
-    if any(v[d] != 0 for v in kernel):
+            gram[i][j] = _as_num(sum(c * T[k] for k, c in ij))
+        gram[i][d] = gram[d][i] = T[i]
+    gram[d][d] = d + 1
+    kernel = _kernel(d + 1, [{a: 1} for a in range(d + 1)], gram)
+    if any(d in v for v in kernel.sparse_basis):
         raise InternalInconsistencyError("radical kernel leaves the algebra")
-    J = Subspace(d, [v[:d] for v in kernel])
-    if tr.rank != d + 1 - J.dim:
-        raise InternalInconsistencyError("trace form rank does not match radical dimension")
+    J = Subspace(d, kernel.sparse_basis)
     _verify_radical(A, J)
     A._radical = J
     return J
@@ -401,22 +397,6 @@ def _minus(u, v, a):
     for k, x in v.items():
         w[k] = w.get(k, 0) - a * x
     return {k: x for k, x in w.items() if x}
-
-
-def _kernel(dim, basis, images):
-    """The Subspace of F^dim of the combinations sum c_a basis[a] whose images
-    sum c_a images[a] vanish; basis vectors and images are sparse dicts, the
-    images keyed by any sortable coordinates."""
-    support = sorted(set().union(*images))
-    vecs = []
-    for coeffs in nullspace([[img.get(r, 0) for img in images] for r in support], len(images)):
-        w = {}
-        for a, c in enumerate(coeffs):
-            if c:
-                for r, x in basis[a].items():
-                    w[r] = w.get(r, 0) + c * x
-        vecs.append(w)
-    return Subspace(dim, vecs)
 
 
 def peirce_decompose(A):
@@ -588,7 +568,7 @@ def is_star_graded_simple(A):
     return True
 
 
-def direct_sum(A, B, label_prefixes=("l.", "r.")):
+def direct_sum(A, B):
     """Block-diagonal sum with concatenated grading, involution, and Wedderburn data."""
     dA = A.dim
     structure = [(i, j, k, c) for i, row in enumerate(A.rows) for j, ij in row.items() for k, c in ij]
@@ -607,7 +587,7 @@ def direct_sum(A, B, label_prefixes=("l.", "r.")):
         wed = WedderburnData(tuple(blocks), radical)
     return StarSuperAlgebra(
         dA + B.dim,
-        [label_prefixes[0] + s for s in A.labels] + [label_prefixes[1] + s for s in B.labels],
+        ["l." + s for s in A.labels] + ["r." + s for s in B.labels],
         structure,
         list(A.grading) + list(B.grading),
         inv,

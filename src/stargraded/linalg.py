@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals on one fraction-free integer elimination:
-RREF, rank, nullspace, solving, canonical subspaces."""
+RREF, rank, kernels, solving, canonical subspaces."""
 
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -29,37 +29,72 @@ def _checked(row, n):
     return row
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (rows, pivot_columns); input is not mutated."""
-    tr = RankTracker(rows)
-    n = len(rows[0]) if rows else 0
-    dense = []
-    for r in tr.reduced():
+def _dense(sparse_rows, n):
+    out = []
+    for r in sparse_rows:
         v = [0] * n
         for j, x in r.items():
             v[j] = x
-        dense.append(v)
-    return dense, list(tr.pivots)
+        out.append(v)
+    return out
+
+
+def rref(rows):
+    """Reduced row echelon form. Returns (rows, pivot_columns); input is not mutated."""
+    n = len(rows[0]) if rows else 0
+    tr = RankTracker(_checked(r, n) for r in rows)
+    return _dense(tr.reduced(), n), list(tr.pivots)
 
 
 def rank(rows):
     """Exact rank over the rationals."""
-    return RankTracker(rows).rank
+    n = len(rows[0]) if rows else 0
+    return RankTracker(_checked(r, n) for r in rows).rank
 
 
 def nullspace(rows, ncols=None):
-    """Canonical basis of {x : rows @ x = 0}; ncols needed when rows is empty."""
+    """Canonical basis of {x : rows @ x = 0}, the `_kernel` of the columns of
+    rows as RREF rows; ncols needed when rows is empty."""
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("nullspace of an empty matrix needs ncols")
-    return RankTracker(rows).kernel(ncols)
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(_checked(row, ncols)):
+            cols[j][i] = x
+    return _dense(_kernel(ncols, [{j: 1} for j in range(ncols)], cols).sparse_basis, ncols)
+
+
+def _kernel(dim, basis, images):
+    """The Subspace of F^dim of the combinations sum c_a basis[a] whose images
+    sum c_a images[a] vanish; basis vectors and images are sparse dicts, the
+    images keyed by any sortable coordinates.
+
+    One RankTracker pass: row a is images[a], its n coordinates renumbered
+    0..n-1 in ascending order, plus a 1 at n + a. The stored rows with pivot n
+    or later are those with a zero image part; their coefficients span the kernel."""
+    index = {r: i for i, r in enumerate(sorted(set().union(*images)))}
+    n = len(index)
+    tr = RankTracker()
+    for a, img in enumerate(images):
+        row = {index[r]: x for r, x in img.items()}
+        row[n + a] = 1
+        tr.add(row)
+    vecs = []
+    for c in tr.pivots[bisect_left(tr.pivots, n):]:
+        w = {}
+        for a, x in zip(*tr.rows[c]):
+            for r, y in basis[a - n].items():
+                w[r] = w.get(r, 0) + x * y
+        vecs.append(w)
+    return Subspace(dim, vecs)
 
 
 def solve(rows, rhs):
     """One exact solution of rows @ x = rhs, or None if inconsistent."""
     n = len(rows[0]) if rows else 0
-    tr = RankTracker([list(row) + [b] for row, b in zip(rows, rhs)])
+    tr = RankTracker([list(_checked(row, n)) + [b] for row, b in zip(rows, rhs)])
     if n in tr.rows:
         return None
     x = [0] * n
@@ -155,7 +190,7 @@ class RankTracker:
     echelon form: no row has an entry left of its pivot, so a reduced vector
     that is not zero starts at a new pivot. Rank needs no back-substitution;
     `reduced` does it once for the canonical RREF. This is the only row
-    reduction of the package: `rref`, `rank`, `nullspace`, `solve` and
+    reduction of the package: `rref`, `rank`, `_kernel`, `solve` and
     `Subspace` all read it. No floats, no modular step.
 
     `add` takes a coordinate sequence or a sparse dict {index: coeff}, and the
@@ -280,18 +315,3 @@ class RankTracker:
                         w[k] = w.get(k, 0) - f * x
             out[c] = {k: _as_num(Fraction(x, vals[0])) for k, x in sorted(w.items()) if x}
         return [out[c] for c in self.pivots]
-
-    def kernel(self, ncols):
-        """Canonical basis, as RREF rows of length ncols, of the vectors x with
-        v @ x = 0 for every inserted vector v."""
-        red = self.reduced()
-        basis = []
-        for f in range(ncols):
-            if f not in self.rows:
-                v = [0] * ncols
-                v[f] = 1
-                for c, row in zip(self.pivots, red):
-                    v[c] = -row.get(f, 0)
-                basis.append(v)
-        return rref(basis)[0]
-

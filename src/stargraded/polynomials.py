@@ -54,15 +54,6 @@ class CapelliShape:
         return _capelli_terms(self)
 
 
-def perm_sign(p):
-    inv = 0
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def _capelli_terms(shape):
     """The m! signed words of a Capelli member, permutations in lexicographic
     order. Picking the index at position a among the remaining ones adds a

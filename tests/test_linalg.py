@@ -14,6 +14,7 @@ from stargraded.linalg import (
     RankTracker,
     Subspace,
     _as_num,
+    _kernel,
     coordinate_span,
     mat_mul,
     mat_vec,
@@ -251,7 +252,8 @@ def test_reduced_rows_are_the_canonical_rref():
     for r in ([0, 2, 4, 0], [1, 0, 0, 3], [1, 1, 2, 3], [3, Fraction(1, 2), 1, 9]):
         tr.add(r)
     assert tr.reduced() == [{0: 1, 3: 3}, {1: 1, 2: 2}]
-    assert tr.kernel(4) == [[1, 0, 0, Fraction(-1, 3)], [0, 1, Fraction(-1, 2), 0]]
+    rows = [[0, 2, 4, 0], [1, 0, 0, 3], [1, 1, 2, 3], [3, Fraction(1, 2), 1, 9]]
+    assert nullspace(rows, 4) == [[1, 0, 0, Fraction(-1, 3)], [0, 1, Fraction(-1, 2), 0]]
 
 
 def test_bad_shapes_raise_value_errors():
@@ -267,6 +269,58 @@ def test_bad_shapes_raise_value_errors():
         Subspace(3).contains([1, 0])
     with pytest.raises(ValueError, match="F\\^2 and F\\^3"):
         Subspace(2).add(Subspace(3))
+
+
+@pytest.mark.parametrize("call", [
+    rank,
+    rref,
+    nullspace,
+    lambda rows: solve(rows, [0] * len(rows)),
+], ids=["rank", "rref", "nullspace", "solve"])
+@pytest.mark.parametrize("rows", [[[1], [1, 2]], [[1, 2], [1]]], ids=["longer", "shorter"])
+def test_ragged_rows_raise_value_errors(call, rows):
+    with pytest.raises(ValueError, match=f"length {len(rows[1])} where {len(rows[0])}"):
+        call(rows)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Sparse images keyed by ints or by tuples, with int and Fraction entries,
+    explicit zeros and all-zero images, over a basis of random sparse vectors
+    or of the unit vectors; the image list may be empty."""
+    m = draw(st.integers(0, 6))
+    keys = draw(st.sampled_from([
+        st.integers(0, 4),
+        st.tuples(st.integers(0, 1), st.integers(0, 2)),
+    ]))
+    values = st.one_of(st.sampled_from([0, 0, 1, -2, 3]), fractions)
+    images = draw(st.lists(st.dictionaries(keys, values, max_size=4), min_size=m, max_size=m))
+    dim = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        dim = max(dim, m)
+        basis = [{a: 1} for a in range(m)]
+    else:
+        vec = st.dictionaries(st.integers(0, dim - 1), st.one_of(entries, fractions), max_size=3)
+        basis = draw(st.lists(vec, min_size=m, max_size=m))
+    return dim, basis, images
+
+
+@given(kernel_cases())
+@example((3, [], []))
+@example((2, [{0: 1}, {1: 1}], [{}, {(0, 1): 0}]))
+@example((2, [{0: 1, 1: 1}, {1: Fraction(1, 2)}], [{(1, 0): Fraction(2, 3)}, {(1, 0): -1, (0, 2): 0}]))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_the_dense_reference(case):
+    dim, basis, images = case
+    support = sorted(set().union(*images))
+    M = [[img.get(r, 0) for img in images] for r in support]
+    spans = [
+        [sum(c * basis[a].get(k, 0) for a, c in enumerate(coeffs)) for k in range(dim)]
+        for coeffs in reference_nullspace(M, len(images))
+    ]
+    K = _kernel(dim, basis, images)
+    assert K.ambient_dim == dim
+    assert [core.to_dense(r, dim) for r in K.sparse_basis] == reference_rref(spans)[0]
 
 
 def test_rank_tracker_rows_are_primitive_echelon():

@@ -20,7 +20,6 @@ from stargraded.polynomials import (
     evaluate_alternating_fast,
     evaluate_sparse,
     generator_family,
-    perm_sign,
 )
 
 
@@ -39,11 +38,6 @@ def reference_sign(p):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-@given(st.permutations(list(range(6))))
-def test_perm_sign_matches_cycle_parity(p):
-    assert perm_sign(tuple(p)) == reference_sign(tuple(p))
 
 
 def test_capelli_member_shape():

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 from test_codim_orbits import rescaled, scales_for
+from test_polynomials import reference_sign
 
 import stargraded as sg
 from stargraded import analysis
@@ -25,7 +26,7 @@ from stargraded.checks import parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
 from stargraded.linalg import RankTracker, _as_num
-from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member, perm_sign
+from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member
 
 UNCAPPED = RunConfig(cap_evals=10**12)
 
@@ -215,7 +216,7 @@ def test_sweep_matches_reference_on_three_blocks():
 
 
 def signed_terms(m, deleted):
-    """The term table as built before: every permutation signed by perm_sign."""
+    """The term table as built before: every permutation signed by its cycle parity."""
     kept = [g for g in range(m - 1) if g not in deleted]
     conn_slot = {g: m + r for r, g in enumerate(kept)}
     terms = {}
@@ -225,7 +226,7 @@ def signed_terms(m, deleted):
             if g in conn_slot:
                 word.append(conn_slot[g])
             word.append(perm[g + 1])
-        terms[tuple(word)] = perm_sign(perm)
+        terms[tuple(word)] = reference_sign(perm)
     return terms
 
 
