@@ -2,6 +2,7 @@
 and round-trip one of them through the interchange format."""
 
 import json
+import os
 import tempfile
 
 import stargraded as sg
@@ -35,12 +36,12 @@ def main():
         print()
 
     A = sg.m_hh_symplectic(1)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        path = fh.name
-    sg.save_algebra(A, path)
-    B = sg.load_algebra(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        sg.save_algebra(A, path)
+        B = sg.load_algebra(path)
     same = sg.to_interchange(A) == sg.to_interchange(B)
-    print(f"interchange round trip through {path}: {'stable' if same else 'BROKEN'}")
+    print(f"interchange round trip through a JSON file: {'stable' if same else 'BROKEN'}")
     doc = sg.to_interchange(A)
     print(f"document keys: {sorted(doc)}, {len(json.dumps(doc))} bytes")
 

@@ -507,7 +507,7 @@ def _build_witness(A, raw):
     if replay != value:
         raise InternalInconsistencyError("witness does not replay through the fast evaluator")
     assignment = [dict(v) for v in alt_vecs] + [dict(v) for v in conn_vecs]
-    # term-by-term replay up to rank 7; the m! terms are built only here
+    # term replay up to rank 7: the m! words' products, one tree walk over shared prefixes
     if factorial(shape.rank) <= 5040:
         naive = evaluate_sparse(A, shape, assignment)
         if naive != value:

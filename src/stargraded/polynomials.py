@@ -51,29 +51,34 @@ class CapelliShape:
 
     @cached_property
     def terms(self):
-        return _capelli_terms(self)
+        return dict(_walk(self, (), lambda word, s: word + (s,)))
 
 
-def _capelli_terms(shape):
-    """The m! signed words of a Capelli member, permutations in lexicographic
-    order. Picking the index at position a among the remaining ones adds a
-    inversions, so each pick multiplies the sign by (-1)^a."""
+def _walk(shape, start, extend):
+    """Depth-first walk of the lexicographic permutation tree of the m! words
+    of a Capelli member, yielding (value, sign) at each leaf in lexicographic
+    order. A node's value is extend(parent's value, slot), made once and shared
+    by the node's subtree; a connector slot is appended at the node before its
+    children, and a falsy value prunes the subtree. Picking the index at
+    position a among the remaining ones adds a inversions, so each pick
+    multiplies the sign by (-1)^a."""
     m = shape.rank
-    link = [()] * m
+    link = [None] * m
     for r, g in enumerate(shape.kept_gaps):
-        link[g + 1] = (m + r,)
-    terms = {}
+        link[g + 1] = m + r
 
-    def walk(word, remaining, sign):
+    def walk(acc, remaining, sign):
         if not remaining:
-            terms[word] = sign
+            yield acc, sign
             return
-        pre = word + link[m - len(remaining)]
+        c = link[m - len(remaining)]
+        if c is not None and not (acc := extend(acc, c)):
+            return
         for a, t in enumerate(remaining):
-            walk(pre + (t,), remaining[:a] + remaining[a + 1 :], -sign if a & 1 else sign)
+            if nxt := extend(acc, t):
+                yield from walk(nxt, remaining[:a] + remaining[a + 1 :], -sign if a & 1 else sign)
 
-    walk((), tuple(range(m)), 1)
-    return terms
+    return walk(start, tuple(range(m)), 1)
 
 
 def capelli_member(m, kind, deleted=()):
@@ -104,19 +109,21 @@ def generator_family(rank_yp, rank_ym, rank_zp, rank_zm):
 
 
 def evaluate_sparse(A, p, assignment):
-    """Term-by-term value of p on sparse vectors, one per slot."""
+    """Value of p on sparse vectors, one per slot, as the signed sum of its
+    words' left-to-right products. The words are walked as a tree, so a shared
+    prefix is multiplied once and a zero prefix skips every word it begins."""
+    if not isinstance(p, CapelliShape):
+        raise ValueError(f"barred Capelli members come from capelli_member, got {type(p).__name__}")
     if len(assignment) != p.nslots:
         raise ValueError(f"{len(assignment)} vectors for {p.nslots} slots")
+
+    def extend(cur, s):
+        return assignment[s] if cur is None else sparse_mul(A, cur, assignment[s])
+
     out = {}
-    for word, coeff in p.terms.items():
-        cur = None
-        for s in word:
-            cur = dict(assignment[s]) if cur is None else sparse_mul(A, cur, assignment[s])
-            if not cur:
-                break
-        else:
-            for k, c in cur.items():
-                out[k] = out.get(k, 0) + coeff * c
+    for cur, sign in _walk(p, None, extend):
+        for k, c in cur.items():
+            out[k] = out.get(k, 0) + sign * c
     return {k: _as_num(c) for k, c in out.items() if c != 0}
 
 

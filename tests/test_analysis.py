@@ -10,7 +10,8 @@ from stargraded.analysis import (
     kind_basis,
 )
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
-from stargraded.errors import SizeCapError
+from stargraded.core import to_sparse
+from stargraded.errors import InternalInconsistencyError, SizeCapError
 from stargraded.polynomials import KINDS, capelli_member, evaluate_sparse
 
 
@@ -92,6 +93,28 @@ def test_generator_set_violation():
     w = rep.witness
     value = evaluate_sparse(E, w.poly, [dict(enumerate(v)) for v in w.assignment])
     assert value == {k: c for k, c in enumerate(w.value) if c != 0}
+
+
+def test_rank7_witness_replay_product_count(sparse_mul_calls):
+    # the tree walk makes each distinct nonzero prefix product once; multiplying
+    # out all 5,040 words one by one took 10,012 products
+    A = sg.m_hl_transpose(2, 1)
+    w = sg.is_graded_identity(A, capelli_member(7, "any")).witness
+    assignment = [to_sparse(v) for v in w.assignment]
+    sparse_mul_calls[0] = 0
+    assert evaluate_sparse(A, w.poly, assignment) == to_sparse(w.value)
+    assert sparse_mul_calls[0] == 102
+
+
+def test_witness_replay_catches_a_planted_value(monkeypatch, m2):
+    raw = analysis._first_nonzero(m2, 2, "y+", None, analysis.Meter(RunConfig()))
+    shape, alt_vecs, conn_vecs, value = raw
+    wrong = {k: 2 * c for k, c in value.items()}
+    with pytest.raises(InternalInconsistencyError, match="fast evaluator"):
+        analysis._build_witness(m2, (shape, alt_vecs, conn_vecs, wrong))
+    monkeypatch.setattr(analysis, "evaluate_alternating_fast", lambda *args: wrong)
+    with pytest.raises(InternalInconsistencyError, match="term evaluator"):
+        analysis._build_witness(m2, (shape, alt_vecs, conn_vecs, wrong))
 
 
 def test_threshold_offsets_for_the_two_shift_patterns():

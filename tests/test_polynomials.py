@@ -6,12 +6,14 @@ from functools import cache
 from itertools import permutations
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_codim_orbits import rescaled
 
 import stargraded as sg
-from stargraded.core import to_sparse
+from stargraded.core import sparse_mul, to_sparse
+from stargraded.linalg import _as_num
 from stargraded.polynomials import (
     ANY,
     CapelliShape,
@@ -153,3 +155,65 @@ def test_fast_evaluator_matches_naive_on_exchange(seed):
     deleted = [g for g in range(m - 1) if rng.random() < 0.4]
     slow, fast = naive_fast_pair(A, m, deleted, rng)
     assert slow == fast
+
+
+# ------------------------------------------------------- the term evaluator
+
+
+def reference_evaluate_sparse(A, p, assignment):
+    """The term evaluator as it was before the tree walk: every word's product
+    made again from its first letter."""
+    if len(assignment) != p.nslots:
+        raise ValueError(f"{len(assignment)} vectors for {p.nslots} slots")
+    out = {}
+    for word, coeff in p.terms.items():
+        cur = None
+        for s in word:
+            cur = dict(assignment[s]) if cur is None else sparse_mul(A, cur, assignment[s])
+            if not cur:
+                break
+        else:
+            for k, c in cur.items():
+                out[k] = out.get(k, 0) + coeff * c
+    return {k: _as_num(c) for k, c in out.items() if c != 0}
+
+
+@cache
+def walk_algebras():
+    """M_{1,1} and the dimension-9 m_hl_transpose:2,1."""
+    return (sg.m_hl_transpose(1, 1), sg.m_hl_transpose(2, 1))
+
+
+ENTRIES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_tree_walk_matches_the_word_by_word_evaluator(seed):
+    rng = random.Random(seed)
+    A = rng.choice(walk_algebras())
+    m = rng.randint(1, 5)
+    # sparse vectors of one to four entries, some of them stored zeros
+    vecs = [
+        {k: rng.choice(ENTRIES) for k in rng.sample(range(A.dim), rng.randint(1, 4))}
+        for _ in range(2 * m - 1)
+    ]
+    # a repeated alternating vector makes every value zero; an all-zero vector
+    # makes every word through it zero; either can fall on a connector too
+    if rng.random() < 0.3:
+        vecs[rng.randrange(2 * m - 1)] = dict(rng.choice(vecs))
+    if rng.random() < 0.3:
+        vecs[rng.randrange(2 * m - 1)] = {}
+    for mask in range(1 << (m - 1)):
+        p = capelli_member(m, ANY, [g for g in range(m - 1) if mask >> g & 1])
+        want = reference_evaluate_sparse(A, p, vecs[: p.nslots])
+        got = evaluate_sparse(A, p, vecs[: p.nslots])
+        assert got == want
+        assert [type(c) for c in got.values()] == [type(want[k]) for k in got]
+
+
+def test_evaluate_sparse_refuses_bad_input(m2):
+    with pytest.raises(ValueError, match="capelli_member"):
+        evaluate_sparse(m2, (2, ANY, frozenset()), [{1: 1}, {2: 1}, {0: 1}])
+    with pytest.raises(ValueError, match="2 vectors for 3 slots"):
+        evaluate_sparse(m2, capelli_member(2, ANY), [{1: 1}, {2: 1}])
