@@ -69,6 +69,9 @@ class Meter:
         if self.work > self.cap:
             raise SizeCapError(f"{stage}: {self.work} units of work in this call, over the cap {self.cap}")
 
+    def affords(self, units):
+        return self.work + units <= self.cap
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -123,11 +126,14 @@ class ThresholdOffsetReport:
 
 
 def kind_basis(A, kind):
-    """Canonical sparse basis of one homogeneous component, or their union.
+    """Canonical sparse basis of one homogeneous component, or their union;
+    kind None gives the algebra's own basis e_0, ..., e_{dim-1}.
 
     Cached on the algebra as a tuple; callers must not mutate the vectors."""
     basis = A._kind_bases.get(kind)
-    if basis is None:
+    if basis is None and kind is None:
+        basis = A._kind_bases[kind] = tuple({k: 1} for k in range(A.dim))
+    elif basis is None:
         comp = hom_components(A)
         kinds = KINDS if kind == ANY else (kind,)
         basis = A._kind_bases[kind] = tuple(v for k in kinds for v in comp.by_kind(k).sparse_basis)
@@ -196,11 +202,12 @@ def _first_nonzero(A, m, kind, deleted, meter):
     automorphism g of A (_signed_automorphisms) that maps every vector of
     kind_basis(A, kind) to plus or minus another permutes the tuples, and
     a tuple T is skipped when some g maps it to a lexicographically earlier
-    tuple g(T). That is exact: every earlier tuple has vanished, since the
-    sweep returns at its first nonzero value, and g commutes with evaluation
-    while the connectors range over a basis of A, so the family vanishes on
-    T exactly when it vanishes on g(T). The first nonzero tuple is therefore
-    never skipped, and the answer and the first witness do not change. A
+    tuple g(T), with g's permutation read from _index_maps. That is exact:
+    every earlier tuple has vanished, since the sweep returns at its first
+    nonzero value, and g commutes with evaluation while the connectors range
+    over a basis of A, so the family vanishes on T exactly when it vanishes
+    on g(T). The first nonzero tuple is therefore never skipped, and the
+    answer and the first witness do not change. A
     skipped tuple still charges its one unit. The automorphisms are cached
     on the algebra. When they are not yet known, the search for them starts
     before the next tuple once this sweep has charged as many units as the
@@ -257,14 +264,18 @@ def _first_nonzero(A, m, kind, deleted, meter):
                 return hit
         return None
 
-    autos = A._automorphisms
-    maps = None if autos is None else _tuple_maps(A, kind, autos)
+    def skip_maps():
+        identity = tuple(range(len(alt_dom)))
+        return sorted({g for g in _index_maps(A, alt_dom) if g not in (None, identity)})
+
+    maps = None if A._automorphisms is None else skip_maps()
     search_charge = dim * dim
     start = meter.work
     for alt_idx in combinations(range(len(alt_dom)), m):
         if maps is None and meter.work - start >= search_charge:
             meter.charge(search_charge, f"automorphism search on {dim} basis vectors")
-            maps = _tuple_maps(A, kind, _signed_automorphisms(A, search_charge))
+            _signed_automorphisms(A, search_charge)
+            maps = skip_maps()
         meter.charge(1, stage)
         if maps and any(tuple(sorted(map(g.__getitem__, alt_idx))) < alt_idx for g in maps):
             continue
@@ -362,8 +373,9 @@ def _signed_automorphisms(A, limit):
     solved (_solve_signs), so what is found does not depend on the signs of
     the basis.
 
-    Invariant: an element is kept only after _is_automorphism has checked it
-    against every structure constant, the grading and the involution, and a
+    Invariant: an element other than the identity is kept only after
+    _is_automorphism has checked it against every structure constant, the
+    grading and the involution, and a
     composition of kept elements is an automorphism. So the result holds
     automorphisms only; it may miss some, which only makes the sweep skip
     fewer tuples. Charge: the caller charges limit, dim A squared, to its
@@ -463,6 +475,9 @@ def _signed_automorphisms(A, limit):
             frames.append([at, 0, len(trail)])
             continue
         budget -= dim
+        if p == sorted(p):  # the identity, which _solve_signs and the check pass with signs all +1
+            found[tuple(p)] = (1,) * dim
+            continue
         signs = _solve_signs(A, p, rows, stars)
         if signs is not None and _is_automorphism(A, p, signs):
             found[tuple(p)] = signs
@@ -483,22 +498,24 @@ def _signed_automorphisms(A, limit):
     return A._automorphisms
 
 
-def _tuple_maps(A, kind, autos):
-    """The distinct non-identity permutations of the indices of
-    kind_basis(A, kind) that the automorphisms autos induce; one that maps
-    some basis vector of the kind to no plus or minus basis vector is not
-    used."""
-    basis = kind_basis(A, kind)
-    index = {}
-    for t, v in enumerate(basis):
-        index[frozenset(v.items())] = index[frozenset((k, -c) for k, c in v.items())] = t
-    identity = tuple(range(len(basis)))
-    maps = set()
-    for p, s in autos:
-        image = tuple(index.get(frozenset((p[k], s[k] * c) for k, c in v.items()), -1) for v in basis)
-        if -1 not in image and image != identity:
-            maps.add(image)
-    return sorted(maps)
+def _index_maps(A, basis):
+    """For each (p, s) in A._automorphisms, the permutation t -> u of the
+    indices of basis with e_k -> s[k] e_{p[k]} mapping basis[t] to plus or
+    minus basis[u], or None when there is none. Read by the barred sweep and
+    the codimension seeds; cached on the algebra per basis object, which the
+    cache keeps alive so that its id is not reused."""
+    autos = A._automorphisms
+    hit = A._index_maps.get(id(basis))
+    if hit is None or hit[0] is not autos:
+        index = {}
+        for t, v in enumerate(basis):
+            index[frozenset(v.items())] = index[frozenset((k, -c) for k, c in v.items())] = t
+        maps = []
+        for p, s in autos:
+            image = tuple(index.get(frozenset((p[k], s[k] * c) for k, c in v.items()), -1) for v in basis)
+            maps.append(None if -1 in image else image)
+        hit = A._index_maps[id(basis)] = (autos, basis, tuple(maps))
+    return hit[2]
 
 
 def _build_witness(A, raw):
@@ -620,6 +637,11 @@ def threshold_offsets(spec, config=DEFAULT_CONFIG):
     return ThresholdOffsetReport(m, m_trivial, m_runs, tuple(sums), thresholds, r0, r1)
 
 
+# the keys of a codimension call's memo beside the prefix trie's factor ids,
+# the slot groupings and the cycle tuples of _generator_maps
+_AUTOMORPHISMS, _LEX_INDEX = "automorphisms", "lex index"
+
+
 def _word_columns(A, vecs, trie):
     """The columns of the left-to-right products over all permutations of vecs:
     one tuple per coordinate that some word reaches with a nonzero value,
@@ -714,29 +736,55 @@ def _slot_groups(domains):
 
 def _representative_columns(A, domains, groups, trie):
     """The _word_columns of each orbit representative, sharing trie.
-    Representatives are non-decreasing within each slot group."""
+
+    A representative lists, per slot group, the indices of its vectors in the
+    group's domain, non-decreasing: one per orbit of H. When trie holds
+    _AUTOMORPHISMS, the g in Aut act on them too (_index_maps): g(a) is g o a
+    with each group's indices sorted. a is dropped when some g gives g(a) <
+    a lexicographically, so the least element of each orbit of the group the
+    g generate is kept (McKay 1998). Groups whose domain has fewer than 2
+    vectors are left out, since every g fixes them. The search for Aut, its
+    gate and its charge are _codim_memo's (see _assignment_rank)."""
+    moved = maps = ()
+    if trie.get(_AUTOMORPHISMS):
+        moved = [k for k, (d, _) in enumerate(groups) if len(d) > 1]
+        maps = {g for g in zip(*(_index_maps(A, groups[k][0]) for k in moved)) if None not in g}
+        maps.discard(tuple(tuple(range(len(groups[k][0]))) for k in moved))
     vecs = [None] * len(domains)
-    for rep in product(*(combinations_with_replacement(d, len(slots)) for d, slots in groups)):
-        for (_, slots), picked in zip(groups, rep):
-            for s, v in zip(slots, picked):
-                vecs[s] = v
+    for rep in product(*(combinations_with_replacement(range(len(d)), len(slots)) for d, slots in groups)):
+        if maps:
+            least = tuple(rep[k] for k in moved)
+            if any(tuple(tuple(sorted(map(m.__getitem__, rep[k]))) for m, k in zip(g, moved)) < least for g in maps):
+                continue
+        for (d, slots), picked in zip(groups, rep):
+            for s, t in zip(slots, picked):
+                vecs[s] = d[t]
         yield from _word_columns(A, vecs, trie)
 
 
-def _generator_maps(grouping, n):
+def _lex_index(n):
+    return {p: i for i, p in enumerate(permutations(range(n)))}
+
+
+def _generator_maps(grouping, n, trie):
     """The reindexings sigma -> index(tau o sigma), as itemgetters on columns, of
     the transposition (s_0 s_1) and, for c > 2, the cycle (s_0 ... s_{c-1}) of
     each slot group s_0 < ... < s_{c-1} of grouping, a tuple of slot tuples.
-    They generate the group H below."""
-    index = {p: i for i, p in enumerate(permutations(range(n)))}
+    They generate the group H below. trie, the call's memo, keeps the lex
+    index of the n! permutations under _LEX_INDEX, built once per call, and
+    each cycle's itemgetter under the cycle."""
+    if _LEX_INDEX not in trie:
+        trie[_LEX_INDEX] = _lex_index(n)
     maps = []
     for slots in grouping:
         for cycle in [slots[:2], slots][: len(slots) - 1]:
-            tau = list(range(n))
-            for s, t in zip(cycle, cycle[1:] + cycle[:1]):
-                tau[s] = t
-            # permutations(tau) lists tau o sigma for sigma in lex order
-            maps.append(itemgetter(*map(index.__getitem__, permutations(tau))))
+            if cycle not in trie:
+                tau = list(range(n))
+                for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+                    tau[s] = t
+                # permutations(tau) lists tau o sigma for sigma in lex order
+                trie[cycle] = itemgetter(*map(trie[_LEX_INDEX].__getitem__, permutations(tau)))
+            maps.append(trie[cycle])
     return maps
 
 
@@ -759,16 +807,28 @@ def _assignment_rank(A, domains, trie):
     Each image is the column of some a o tau, so S = V. Insertion stops as
     soon as the rank reaches n!, the number of rows.
 
-    trie is the memo of one public codimension call, which makes it, shares it
-    across its calls here and drops it on return. It holds the prefix trie of
-    _word_columns under factor ids and, beside it, the _generator_maps of each
-    slot grouping under the grouping itself, a tuple of slot tuples, so contents
-    with the same grouping build their maps once. Its nominal count,
-    prod |domain| * n!, is charged by the public call, with the counts of the
-    call's other sweeps, before any column is built. codim_graded calls it
-    once per class of contents, which is one content each unless the algebra
-    has an odd central unit; codim_graded_bruteforce and codim_ordinary call
-    it on their own slots and do not use the classes."""
+    Fewer seeds suffice. For an automorphism g of A, w_sigma(g o a) =
+    g(w_sigma(a)), so the columns of g o a span what those of a span, and g,
+    acting on values, commutes with H, acting on slots. So V is the H-spin
+    of the seeds of one representative per orbit of Aut x H, where Aut is
+    the signed automorphisms found that map every slot domain to plus or
+    minus itself (_representative_columns). Only the seeds change, not V.
+
+    trie is the memo of one public codimension call, made by _codim_memo and
+    dropped on return. It holds the prefix trie of _word_columns under factor
+    ids; the lex index, the cycle maps and, per slot grouping, the generator
+    maps of _generator_maps, each built once per call; and the key
+    _AUTOMORPHISMS when the seeds are reduced by Aut. _codim_memo charges the
+    call's nominal count, prod |domain| * n! summed over its sweeps, before
+    any column is built. It searches for Aut only when some slot domain has
+    two vectors, the count is at least dim A squared and the cap has room
+    for dim A squared more, which it then charges: the search at most
+    doubles the call's nominal work, and whether a call is refused depends
+    on the count alone. The seeds are reduced when Aut holds more than the
+    identity. codim_graded calls this once per class of contents, which is
+    one content each unless the algebra has an odd central unit;
+    codim_graded_bruteforce and codim_ordinary call it on their own slots,
+    and the brute sum is never reduced, so it stays an independent check."""
     n = len(domains)
     nfact = factorial(n)
     if any(not d for d in domains):
@@ -778,7 +838,7 @@ def _assignment_rank(A, domains, trie):
     grouping = tuple(tuple(slots) for _, slots in groups)
     gens = trie.get(grouping)
     if gens is None:
-        gens = trie[grouping] = _generator_maps(grouping, n)
+        gens = trie[grouping] = _generator_maps(grouping, n, trie)
     seen = set(seeds)
     tracker = RankTracker()
     queue = deque()
@@ -817,11 +877,18 @@ def _check_degree(n, config):
         raise SizeCapError(f"codimension degree {n} over the cap {config.cap_n}")
 
 
-def _charge_sweeps(config, n, assignments):
-    # one codimension call's nominal total, its assignments times n!, charged
-    # before any column: a call bound to be refused is refused at once
+def _codim_memo(A, config, n, assignments, reduce):
+    # one codimension call's memo, after its nominal total, its assignments
+    # times n!, is charged: a call bound to be refused is refused at once.
+    # The search's gate and charge are in _assignment_rank's docstring
     nominal = assignments * factorial(n)
-    Meter(config).charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
+    meter = Meter(config)
+    meter.charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
+    search = A.dim * A.dim
+    if reduce and A._automorphisms is None and search <= nominal and meter.affords(search):
+        meter.charge(search, f"automorphism search on {A.dim} basis vectors")
+        _signed_automorphisms(A, search)
+    return {_AUTOMORPHISMS: True} if reduce and len(A._automorphisms or ()) > 1 else {}
 
 
 def _odd_central_unit(A):
@@ -892,8 +959,7 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
         else:
             classes[content] = content
     swept = dict.fromkeys(classes.values())
-    _charge_sweeps(config, n, sum(prod(map(pow, sizes, rep)) for rep in swept))
-    trie = {}
+    trie = _codim_memo(A, config, n, sum(prod(map(pow, sizes, rep)) for rep in swept), max(sizes) > 1)
     for rep in swept:
         slot_doms = []
         for c, k in zip(rep, KINDS):
@@ -905,13 +971,12 @@ def codim_graded(A, n, config=DEFAULT_CONFIG):
 
 
 def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
-    """Same value as codim_graded, summed over all 4^n kind vectors directly.
-    The kind vectors share one work budget, whose nominal total, dim^n * n!,
-    is charged before the first."""
+    """Same value as codim_graded, summed over all 4^n kind vectors directly,
+    with seeds not reduced by automorphisms. The kind vectors share one work
+    budget, whose nominal total, dim^n * n!, is charged before the first."""
     _check_degree(n, config)
     doms = {k: kind_basis(A, k) for k in KINDS}
-    _charge_sweeps(config, n, A.dim**n)
-    trie = {}
+    trie = _codim_memo(A, config, n, A.dim**n, False)
     total = 0
     for vector in product(KINDS, repeat=n):
         total += _assignment_rank(A, [doms[k] for k in vector], trie)
@@ -921,9 +986,8 @@ def codim_graded_bruteforce(A, n, config=DEFAULT_CONFIG):
 def codim_ordinary(A, n, config=DEFAULT_CONFIG):
     """The untyped degree-n codimension over the algebra's own basis."""
     _check_degree(n, config)
-    dom = [{k: 1} for k in range(A.dim)]
-    _charge_sweeps(config, n, A.dim**n)
-    r = _assignment_rank(A, [dom] * n, {})
+    trie = _codim_memo(A, config, n, A.dim**n, A.dim > 1)
+    r = _assignment_rank(A, [kind_basis(A, None)] * n, trie)
     return CodimReport(n, r, {("any",) * n: r})
 
 

@@ -126,6 +126,7 @@ class StarSuperAlgebra:
         self._kind_bases = {}
         self._odd_unit = None  # analysis._odd_central_unit: () when searched and none found
         self._automorphisms = None  # analysis._signed_automorphisms: () when searched and none found
+        self._index_maps = {}  # analysis._index_maps, per basis object
         self._right_products = None
 
     def star_sparse(self, k):

@@ -371,10 +371,12 @@ def count_words(monkeypatch):
     return calls
 
 
+# one word walk per orbit of Aut x H; comments: the orbits of H alone, then
+# the assignments in product order
 @pytest.mark.parametrize("spec,graded,n,value,words", [
-    ("m_hl_transpose:1,1", False, 5, 91, 56),  # product order: 1024
-    ("m_hl_transpose:1,1", True, 6, 4033, 84),  # 247
-    ("mn_cmn_star:2,t", True, 5, 13792, 56),  # 364 over its 6 classes
+    ("m_hl_transpose:1,1", False, 5, 91, 28),  # 56; 1024
+    ("m_hl_transpose:1,1", True, 6, 4033, 50),  # 84; 247
+    ("mn_cmn_star:2,t", True, 5, 13792, 34),  # 56; 364 over its 6 classes
 ])
 def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, words):
     A = parse_algebra_spec(spec)
@@ -419,6 +421,113 @@ def test_last_products_skip_sparse_mul(sparse_mul_calls, spec, graded, n, value,
     f = sg.codim_graded if graded else sg.codim_ordinary
     assert f(A, n).value == value
     assert 0 < sparse_mul_calls[0] < bound
+
+
+# ------------------------------------------------- seeds reduced by automorphisms
+
+
+UT2 = "m_hl_transpose:1,1+m_hl_transpose:1,1"
+
+
+def build(spec):
+    return sg.ut_star(parse_ut_spec(spec, "")) if spec == UT2 else parse_algebra_spec(spec)
+
+
+def signed(A, salt):
+    """The same algebra on the basis s_i e_i with signs s_i = +-1, so the
+    automorphisms found carry other signs and the seeds' images other signs."""
+    sign = [1 if (i * i + salt) % 3 else -1 for i in range(A.dim)]
+    doc = sg.to_interchange(A)
+    doc["structure"] = [[i, j, k, str(Fraction(c) * sign[i] * sign[j] * sign[k])] for i, j, k, c in doc["structure"]]
+    doc["involution"] = [[r, c, str(Fraction(v) * sign[r] * sign[c])] for r, c, v in doc["involution"]]
+    B = sg.from_interchange(doc)
+    assert sg.validate(B) == []
+    return B
+
+
+@pytest.mark.parametrize("spec", FAMILIES + (UT2,))
+@pytest.mark.parametrize("salt", [None, 1])
+def test_seeds_reduced_by_automorphisms_keep_every_rank(monkeypatch, spec, salt):
+    """Every content's rank with the seeds reduced by the automorphisms found
+    against the same sweep with the identity only, on the family's own basis
+    and on a signed relabeling of it."""
+    A, plain = build(spec), build(spec)
+    if salt is not None:
+        A, plain = signed(A, salt), signed(plain, salt)
+    plain._automorphisms = ()
+    calls = count_words(monkeypatch)
+    reduced = walked = 0
+    for n in range(1, 5):
+        calls[0] = 0
+        got = sg.codim_graded(A, n).content_ranks
+        reduced += calls[0]
+        calls[0] = 0
+        assert got == sg.codim_graded(plain, n).content_ranks, n
+        walked += calls[0]
+    for n in ordinary_degrees(A, 4):
+        assert sg.codim_ordinary(A, n) == sg.codim_ordinary(plain, n), n
+    assert plain._automorphisms == ()
+    # mn_cmn_exchange:1 sweeps only its y+ and y- classes, each kind of dim 1,
+    # so no slot group has two vectors to exchange
+    if len(A._automorphisms) > 1 and spec != "mn_cmn_exchange:1":
+        assert reduced < walked
+    else:
+        assert reduced == walked
+
+
+def test_the_search_waits_for_a_nominal_total_of_dim_squared_and_two_vectors():
+    # M_{1,1} has dim 4: degree 1 costs 4 < 16, in both codimensions
+    A = parse_algebra_spec("m_hl_transpose:1,1")
+    assert sg.codim_graded(A, 1).value == 3
+    assert sg.codim_ordinary(A, 1).value == 1
+    assert A._automorphisms is None
+    # the brute sum is the independent check, and neither searches nor reduces
+    assert sg.codim_graded_bruteforce(A, 3) == 57
+    assert A._automorphisms is None
+    # every kind of mn_cmn_exchange:1 has dim 1, so no graded slot group has
+    # two vectors to exchange; its ordinary slots range over all 4
+    B = parse_algebra_spec("mn_cmn_exchange:1")
+    assert sg.codim_graded(B, 4).value == 256
+    assert B._automorphisms is None
+    sg.codim_ordinary(B, 2)
+    assert B._automorphisms is not None
+
+
+def test_the_search_is_charged_only_where_the_cap_has_room(monkeypatch):
+    # codim_graded(M_{1,1}, 3) has the nominal total 156 (test_analysis), and
+    # the search 4^2 = 16 more; without room the call answers unreduced, so
+    # whether it is refused depends on its nominal total alone
+    calls = count_words(monkeypatch)
+    A = parse_algebra_spec("m_hl_transpose:1,1")
+    with pytest.raises(SizeCapError, match="156 units of work in this call, over the cap 155"):
+        sg.codim_graded(A, 3, sg.RunConfig(cap_evals=155))
+    assert sg.codim_graded(A, 3, sg.RunConfig(cap_evals=171)).value == 57
+    assert A._automorphisms is None
+    unreduced, calls[0] = calls[0], 0
+    assert sg.codim_graded(A, 3, sg.RunConfig(cap_evals=172)).value == 57
+    assert len(A._automorphisms) == 2
+    assert calls[0] < unreduced
+
+
+@pytest.mark.parametrize("f,n", [
+    (sg.codim_graded, 5),
+    (sg.codim_ordinary, 5),
+    (sg.codim_graded_bruteforce, 3),
+])
+def test_one_codimension_call_builds_one_lex_index(monkeypatch, f, n):
+    built = []
+    original = analysis._lex_index
+
+    def counted(k):
+        built.append(k)
+        return original(k)
+
+    monkeypatch.setattr(analysis, "_lex_index", counted)
+    A = parse_algebra_spec("m_hl_transpose:1,1")
+    for _ in range(2):
+        del built[:]
+        f(A, n)
+        assert built == [n]
 
 
 # ------------------------------------------------------------------ spinning
