@@ -159,82 +159,60 @@ def _raw_witness(shape, alt_vecs, conn_vecs, value):
     return (shape, tuple(dict(v) for v in alt_vecs), tuple(dict(v) for v in conn_vecs), dict(value))
 
 
-def _first_nonzero(A, m, kind, deleted, meter):
-    """First nonzero evaluation of the rank-m barred family on basis assignments.
-
-    deleted=None sweeps every deletion pattern in one shared-prefix search;
-    a frozenset pins a single member. Canonical order: alternating tuples
-    lexicographic, then per gap each connector index ascending, skip last.
-    Returns a raw witness, or None when every evaluation vanishes, as it does
-    at once when m exceeds the kind's dimension.
-
-    The search is bounded by the work it does, not by a nominal count: it
-    charges meter, the calling public function's budget, one unit per
-    alternating tuple, which covers the member with every gap deleted, and
-    len(options) at each gap before its options are tried.
+def _span_sweep(A, m, kind, picked, deleted, meter):
+    """Search the rank-m barred family over every m-subset of the vectors
+    kind_basis(A, kind)[a], a in picked (ascending), at once; deleted is as
+    in _first_nonzero. Returns None when every evaluation vanishes, or the
+    first nonzero one found as (choices, states): the connector index per
+    gap, None where deleted, and the states of the last gap, whose keys all
+    lie on masks of m vectors. On m vectors this is the sweep of one
+    alternating tuple, and every key lies on the full mask.
 
     The search holds one flat form from start to end: the states, each gap's
     option vectors and the subset DP's input and output are all dicts
-    {mask * dim + k: coeff} without zero entries. The value at the last gap
-    is the entries of the full mask, at keys from full * dim on, shifted down
-    by full * dim.
+    {mask * dim + k: coeff} without zero entries, the mask ranging over
+    subsets of picked. After gap g every mask has g + 2 members, so the states
+    of the last gap are the values on the m-subsets of picked, and the
+    search stops at the first nonempty one.
 
     Only work that can change the answer is done. Every product is read from
     right_products: at each gap one pass over the states' coordinates sums
     each connector's joined states, and a connector that no coordinate
-    reaches is not tried. The DP reads the alternating vectors' rows of the
-    same table. Within one alternating tuple the subtree below a gap depends
-    only on the gap and the joined states, and every value it reaches is a
+    reaches is not tried. The DP reads the picked vectors' rows of the same
+    table. The subtree below a gap depends only on the gap and the joined
+    states, and every value it reaches, on every m-subset at once, is a
     linear function of them: each step multiplies every state by a fixed
     vector and sums. The joined states of each option searched at a gap go
     into that gap's RankTracker first; the deleted-gap option is the states
     themselves. The search is depth first and returns at its first nonzero
     value, so every earlier entry of a tracker belongs to a subtree that was
-    searched in full and vanished. An option whose states lie in their span
-    therefore vanishes too, and it is skipped when `add` finds it dependent;
-    an accepted one goes straight into the DP. This covers equal states in
-    any order and their multiples. A pinned deleted gap has one option and
-    its states are the extension of the parent's, so it is not recorded.
-    Skipped options are exactly ones the plain search finds empty or
-    vanishing, so the first witness is the same.
+    searched in full and vanished on every m-subset. An option whose states
+    lie in their span therefore vanishes too, and it is skipped when `add`
+    finds it dependent; an accepted one goes straight into the DP. This
+    covers equal states in any order and their multiples. A pinned deleted
+    gap has one option and its states are the extension of the parent's, so
+    it is not recorded. Skipped options are exactly ones the plain search
+    finds empty or vanishing, so the first nonzero found is the plain
+    search's. Each prefix product and each tracker is shared by every
+    m-subset, so a tree that searches them all is searched once.
 
-    Whole alternating tuples are skipped by symmetry. Each signed
-    automorphism g of A (_signed_automorphisms) that maps every vector of
-    kind_basis(A, kind) to plus or minus another permutes the tuples, and
-    a tuple T is skipped when some g maps it to a lexicographically earlier
-    tuple g(T), with g's permutation read from _index_maps. That is exact:
-    every earlier tuple has vanished, since the sweep returns at its first
-    nonzero value, and g commutes with evaluation while the connectors range
-    over a basis of A, so the family vanishes on T exactly when it vanishes
-    on g(T). The first nonzero tuple is therefore never skipped, and the
-    answer and the first witness do not change. A
-    skipped tuple still charges its one unit. The automorphisms are cached
-    on the algebra. When they are not yet known, the search for them starts
-    before the next tuple once this sweep has charged as many units as the
-    search's own charge, dim A squared, and it charges that to meter under
-    a stage of its own. So a sweep that ends first, or that has one tuple,
-    never starts it, and a sweep that does start it has already done at
-    least as much work as the search is charged: the search can at most
-    double a sweep that finds its witness soon after."""
-    alt_dom = kind_basis(A, kind)
-    conn_dom = kind_basis(A, ANY)
-    if m > len(alt_dom):
+    Charge: at each gap, before its connector sums, the entries of the states
+    it multiplies plus its options, all of which may be tried."""
+    if m > len(picked):
         return None
     stage = f"barred Capelli sweep of kind {kind} at rank {m}"
+    alt_dom = kind_basis(A, kind)
     table = right_products(A)
     # kind_basis(A, ANY) lists the kinds in KINDS order, so alt_dom starts at offset
     offset = 0 if kind == ANY else sum(len(kind_basis(A, k)) for k in KINDS[: KINDS.index(kind)])
     dim = A.dim
-    top = ((1 << m) - 1) * dim  # the full mask's first key
+    slot = {offset + a: t for t, a in enumerate(picked)}
+    alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
+    spans = [RankTracker() for _ in range(m - 1)]
 
     def rec(g, states, choices):
         if g == m - 1:
-            value = {key - top: c for key, c in states.items() if key >= top}
-            if value:
-                dels = frozenset(i for i, c in enumerate(choices) if c is None)
-                conn = [conn_dom[c] for c in choices if c is not None]
-                return dels, conn, value
-            return None
+            return choices, states
         if deleted is not None and g in deleted:
             nxt = _extend_alternating(states, alt_rows, dim)
             return rec(g + 1, nxt, choices + [None]) if nxt else None
@@ -252,7 +230,7 @@ def _first_nonzero(A, m, kind, deleted, meter):
         options = [(c, sums[c]) for c in sorted(sums)]
         if deleted is None:
             options.append((None, states))
-        meter.charge(len(options), stage)
+        meter.charge(len(states) + len(options), stage)
         for opt, flat in options:
             if opt is not None:
                 flat = {key: x for key, x in flat.items() if x}
@@ -264,30 +242,76 @@ def _first_nonzero(A, m, kind, deleted, meter):
                 return hit
         return None
 
-    def skip_maps():
-        identity = tuple(range(len(alt_dom)))
-        return sorted({g for g in _index_maps(A, alt_dom) if g not in (None, identity)})
+    states = {(dim << t) + k: c for t, a in enumerate(picked) for k, c in alt_dom[a].items()}
+    return rec(0, states, [])
 
-    maps = None if A._automorphisms is None else skip_maps()
+
+def _first_nonzero(A, m, kind, deleted, meter):
+    """First nonzero evaluation of the rank-m barred family on basis assignments.
+
+    deleted=None sweeps every deletion pattern in one shared-prefix search;
+    a frozenset pins a single member. Canonical order: alternating tuples
+    lexicographic, then per gap each connector index ascending, skip last.
+    Returns a raw witness, or None when every evaluation vanishes, as it does
+    at once when m exceeds the kind's dimension.
+
+    Each tuple is swept by _span_sweep on its m vectors. Once the first tuple
+    has vanished and more remain, _span_sweep decides every tuple at once on
+    the whole kind basis, and None is returned if that vanishes; otherwise
+    the tuples are swept on in order, so the first witness is the canonical
+    one. The search is bounded by the work it does, not by a nominal count:
+    it charges meter, the calling public function's budget, one unit per
+    alternating tuple, which covers the member with every gap deleted, and
+    _span_sweep's charge at each gap.
+
+    Whole alternating tuples are skipped by symmetry. Each signed
+    automorphism g of A (_signed_automorphisms) that maps every vector of
+    kind_basis(A, kind) to plus or minus another permutes the tuples, and
+    a tuple T is skipped when some g maps it to a lexicographically earlier
+    tuple g(T), with g's permutation read from _index_maps. That is exact:
+    every earlier tuple has vanished, since the sweep returns at its first
+    nonzero value, and g commutes with evaluation while the connectors range
+    over a basis of A, so the family vanishes on T exactly when it vanishes
+    on g(T). The first nonzero tuple is therefore never skipped, and the
+    answer and the first witness do not change. A skipped tuple still charges
+    its one unit. The skip starts before the next tuple once this sweep has
+    charged as many units as the automorphism search's own charge, dim A
+    squared, which it then charges to meter under a stage of its own, whether
+    or not the automorphisms are already cached on the algebra; the search
+    runs only when they are not. So the work charged does not depend on what
+    an earlier call cached, a sweep that ends first never starts the search,
+    and one that does has already done at least as much work as the search
+    is charged: the search can at most double a sweep that finds its witness
+    soon after."""
+    alt_dom = kind_basis(A, kind)
+    if m > len(alt_dom):
+        return None
+    stage = f"barred Capelli sweep of kind {kind} at rank {m}"
+    conn_dom = kind_basis(A, ANY)
+    dim = A.dim
+    top = ((1 << m) - 1) * dim  # the full mask's first key
+    maps = None
     search_charge = dim * dim
     start = meter.work
     for alt_idx in combinations(range(len(alt_dom)), m):
         if maps is None and meter.work - start >= search_charge:
             meter.charge(search_charge, f"automorphism search on {dim} basis vectors")
             _signed_automorphisms(A, search_charge)
-            maps = skip_maps()
+            identity = tuple(range(len(alt_dom)))
+            maps = sorted({g for g in _index_maps(A, alt_dom) if g not in (None, identity)})
         meter.charge(1, stage)
         if maps and any(tuple(sorted(map(g.__getitem__, alt_idx))) < alt_idx for g in maps):
             continue
-        alt_vecs = [alt_dom[t] for t in alt_idx]
-        slot = {offset + a: t for t, a in enumerate(alt_idx)}
-        alt_rows = [[(slot[x], items) for x, items in row if x in slot] for row in table]
-        spans = [RankTracker() for _ in range(m - 1)]
-        states = {(dim << t) + k: c for t, v in enumerate(alt_vecs) for k, c in v.items()}
-        hit = rec(0, states, [])
+        hit = _span_sweep(A, m, kind, alt_idx, deleted, meter)
         if hit:
-            dels, conn, value = hit
-            return _raw_witness(CapelliShape(m, kind, dels), alt_vecs, conn, value)
+            choices, states = hit
+            dels = frozenset(i for i, c in enumerate(choices) if c is None)
+            conn = [conn_dom[c] for c in choices if c is not None]
+            value = {key - top: c for key, c in states.items()}
+            return _raw_witness(CapelliShape(m, kind, dels), [alt_dom[t] for t in alt_idx], conn, value)
+        if alt_idx[-1] == m - 1 < len(alt_dom) - 1:  # the first tuple, and more remain
+            if _span_sweep(A, m, kind, range(len(alt_dom)), deleted, meter) is None:
+                return None
     return None
 
 
@@ -586,8 +610,9 @@ def ordinary_capelli_threshold(A, config=DEFAULT_CONFIG, barred=True):
 
 
 def barred_rank_is_identity(A, kind, m, config=DEFAULT_CONFIG):
-    """True when every deletion-pattern member at rank m is a graded identity."""
-    return _first_nonzero(A, m, kind, None, Meter(config)) is None
+    """True when every deletion-pattern member at rank m is a graded identity:
+    one _span_sweep on the whole kind basis, as no witness is reported."""
+    return _span_sweep(A, m, kind, range(len(kind_basis(A, kind))), None, Meter(config)) is None
 
 
 def threshold_offsets(spec, config=DEFAULT_CONFIG):

@@ -408,15 +408,20 @@ def test_barred_sweep_refusal_reports_its_work(tmp_path):
     path = tmp_path / "ut3.json"
     components = "+".join(["m_hl_transpose:1,1"] * 3)
     assert run("--out", str(path), "ut", "--components", components).exit_code == 0
-    res = run("--cap-evals", "10000", "threshold", "--input", str(path), "--kind", "z+")
+    # UT3's z+ ranks 1-6 charge 7,001 units in all, the last of them in the
+    # rank-6 proof's whole-basis sweep
+    res = run("--cap-evals", "7000", "threshold", "--input", str(path), "--kind", "z+")
     assert res.exit_code == 2
     assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 6: ")
     work = int(res.output.split(": ")[2].split()[0])
-    assert 10_000 < work <= 40_612
+    assert work == 7_001
+    res = run("--cap-evals", "7001", "threshold", "--input", str(path), "--kind", "z+")
+    assert res.exit_code == 2
+    assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 7: ")
 
 
 def test_refusal_inside_the_automorphism_search_reports_its_work(tmp_path):
-    # UT3's z+ ranks 1-5 charge 1,993 units before the rank-5 sweep starts the
+    # UT3's z+ ranks 1-5 charge 1,831 units before the rank-5 sweep starts the
     # search, which charges 36^2 = 1,296 at once
     path = tmp_path / "ut3.json"
     components = "+".join(["m_hl_transpose:1,1"] * 3)
@@ -424,7 +429,7 @@ def test_refusal_inside_the_automorphism_search_reports_its_work(tmp_path):
     res = run("--cap-evals", "3000", "threshold", "--input", str(path), "--kind", "z+")
     assert res.exit_code == 2
     assert res.output.startswith(
-        "refused: automorphism search on 36 basis vectors: 3289 units of work in this call, over the cap 3000"
+        "refused: automorphism search on 36 basis vectors: 3127 units of work in this call, over the cap 3000"
     )
 
 

@@ -386,16 +386,19 @@ def test_words_are_computed_once_per_orbit(monkeypatch, spec, graded, n, value, 
     assert calls[0] == words
 
 
-# comments: the products made; those made when each representative multiplies
-# its own prefixes; and those of the same sweep with every word multiplied out
-# and the columns inserted in orbit order. mn_cmn_star:2,t sweeps its 6 classes
-# of contents here and below, and its odd unit search adds 8 products and 8
-# rank insertions to the counts that the tests read
+# comments: the products made, sparse_mul calls and last products summed from
+# the pair table, counted by patching sparse_mul; then, as counted with one
+# seed per H-orbit before the automorphisms reduced the seeds, those made when
+# each representative multiplies its own prefixes and those of the same sweep
+# with every word multiplied out and the columns inserted in orbit order.
+# mn_cmn_star:2,t sweeps its 6 classes of contents here and below, and its odd
+# unit search adds 8 products and 8 rank insertions to the counts that the
+# tests read
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
-    ("m_hl_transpose:1,1", False, 5, 91, 300),  # 240; 1,024; 5,584
-    ("m_hl_transpose:1,1", False, 6, 346, 600),  # 496; 2,608; 29,736
-    ("m_hl_transpose:1,1", True, 6, 4033, 3_000),  # 2,656; 7,672; 106,920
-    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 840; 2,200; 13,648
+    ("m_hl_transpose:1,1", False, 5, 91, 300),  # 154; 1,024; 5,584
+    ("m_hl_transpose:1,1", False, 6, 346, 600),  # 345; 2,608; 29,736
+    ("m_hl_transpose:1,1", True, 6, 4033, 3_000),  # 1,837; 7,672; 106,920
+    ("mn_cmn_star:2,t", True, 5, 13792, 25_000),  # 587; 2,200; 13,648
 ])
 def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
@@ -411,10 +414,10 @@ def test_equal_slots_share_their_products(sparse_mul_calls, spec, graded, n, val
 # each word's last product is summed from the pair table, then the last
 # products so summed
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
-    ("m_hl_transpose:1,1", False, 5, 91, 150),  # 112; 128
-    ("m_hl_transpose:1,1", False, 6, 346, 300),  # 240; 256
-    ("m_hl_transpose:1,1", True, 6, 4033, 1_000),  # 840; 1,816
-    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 256; 584
+    ("m_hl_transpose:1,1", False, 5, 91, 150),  # 90; 64
+    ("m_hl_transpose:1,1", False, 6, 346, 300),  # 201; 144
+    ("m_hl_transpose:1,1", True, 6, 4033, 1_000),  # 729; 1,108
+    ("mn_cmn_star:2,t", True, 5, 13792, 4_000),  # 227; 360
 ])
 def test_last_products_skip_sparse_mul(sparse_mul_calls, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)

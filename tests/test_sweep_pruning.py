@@ -20,6 +20,7 @@ from stargraded.analysis import (
     _is_automorphism,
     _raw_witness,
     _signed_automorphisms,
+    _span_sweep,
     kind_basis,
 )
 from stargraded.checks import parse_algebra_spec, parse_ut_spec
@@ -31,9 +32,14 @@ from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member
 UNCAPPED = RunConfig(cap_evals=10**12)
 
 
+def ut(blocks):
+    """UT of that many M_{1,1} blocks, built afresh: the sweep caches the
+    automorphisms it finds on the algebra."""
+    return sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * blocks), ""))
+
+
 def ut3():
-    """UT3, built afresh: the sweep caches the automorphisms it finds on the algebra."""
-    return sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * 3), ""))
+    return ut(3)
 
 
 # ------------------------------------------------- reference: the plain sweep
@@ -296,32 +302,32 @@ def test_rank6_zplus_proof_product_count(sweep_work):
     # table the span-pruned sweep made 54,532, a sweep that skips only exact
     # repeats of the joined states about 96,500 and the unpruned one 1,671,136
     assert 0 < products < 2_000
-    # the automorphism search starts once the sweep has charged 36^2 units and
-    # then 27 of the 84 alternating tuples are swept: 40,528 adds -> 13,703 and
-    # 12,596 extends -> 4,238. The per-tuple sweep alone is pinned below
-    assert adds == 13_703
-    assert extends == 4_238
+    # one sweep on the whole kind basis decides all 84 alternating tuples at
+    # once, sharing each prefix product and each gap's span: 1,655 adds and 488
+    # extends. Sweeping one tuple per automorphism orbit, 27 of the 84, took
+    # 13,703 and 4,238, and every tuple 40,528 and 12,596
+    assert adds == 1_655
+    assert extends == 488
 
 
 def test_rank6_zplus_proof_budget_is_its_counted_work():
-    # one unit per alternating tuple, C(9, 6) = 84, skipped or not, one per
-    # option tried at a gap, the 13,703 insertions pinned above, and the
-    # automorphism search's 36^2 = 1,296: 15,083 in all (40,612 before the
-    # search, with 40,528 insertions and no search). The search's result is
-    # cached on the algebra, so each call gets a fresh one
-    assert sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=15_083))
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 15083 units of work in this call, over the cap 15082"):
-        sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=15_082))
+    # the whole-basis sweep alone: at each gap the entries of the states it
+    # multiplies plus its options, 2,133 in all. Per tuple with the
+    # automorphism skip it was 15,083, with 1,296 for the search, and with
+    # every tuple swept 40,612
+    assert sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=2_133))
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 2133 units of work in this call, over the cap 2132"):
+        sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=2_132))
 
 
 def test_threshold_ranks_share_one_budget():
     # UT3's z+ threshold is 6: witnesses at ranks 1-5, the rank-6 proof, and the
     # re-sweep of ranks 7-10, where rank 10 is over the dimension and costs
-    # nothing. The call's budget is the sum of every rank's units, 32,212, far
-    # above the largest rank's 13,020. Rank 5 starts the automorphism search
-    # (1,913 + 1,296 units) and the later ranks skip tuples by it: before the
-    # search the ranks cost [1, 34, 49, 57, 1,913, 40,612, 26,982, 10,150,
-    # 1,656, 0], 81,454 in all
+    # nothing. The call's budget is the sum of every rank's units, 16,011, far
+    # above the largest rank's 3,748. Rank 5 charges the automorphism search's
+    # 1,296 units among its 3,748; ranks 6-9 each sweep their first tuple and
+    # then the whole kind basis. Swept tuple by tuple the ranks cost [1, 34, 49,
+    # 57, 3,209, 13,020, 9,921, 4,265, 1,656, 0], 32,212 in all
     A = ut3()
     meter = Meter(UNCAPPED)
     units = []
@@ -329,20 +335,22 @@ def test_threshold_ranks_share_one_budget():
         before = meter.work
         _first_nonzero(A, m, "z+", None, meter)
         units.append(meter.work - before)
-    assert units == [1, 34, 49, 57, 3_209, 13_020, 9_921, 4_265, 1_656, 0]
-    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=32_212)).threshold == 6
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 32212 units of work in this call, over the cap 32211"):
-        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=32_211))
+    assert units == [1, 38, 57, 68, 3_748, 3_089, 3_167, 3_709, 2_134, 0]
+    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=16_011)).threshold == 6
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 16011 units of work in this call, over the cap 16010"):
+        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=16_010))
 
 
 def test_generator_set_members_share_one_budget():
     # the 32 members of the rank-6 barred z+ set on UT3 are identities; swept
-    # one by one, the largest costs 13,198 units and all of them 109,181, the
-    # automorphism search's 1,296 among them (35,122 and 331,816 before it)
+    # one by one, each its first tuple and then the whole kind basis, the
+    # largest costs 2,708 units and all of them 22,476. No member sweeps a
+    # second tuple, so none starts the automorphism search. Tuple by tuple
+    # they cost 13,198 and 109,181 with the search, 35,122 and 331,816 without
     members = sg.barred_capelli_set(6, "z+")
-    assert sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=109_181)).satisfied
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 109181 units of work in this call, over the cap 109180"):
-        sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=109_180))
+    assert sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=22_476)).satisfied
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 22476 units of work in this call, over the cap 22475"):
+        sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=22_475))
 
 
 def test_exchange_thresholds_carry_the_sweeps_witnesses_at_default_caps():
@@ -380,20 +388,28 @@ def without_automorphisms(A):
 
 
 def test_rank6_zplus_proof_without_automorphisms_keeps_its_counts(sweep_work):
-    # the per-tuple sweep is untouched: with no automorphism known it makes the
-    # counts pinned before the search existed
-    A = without_automorphisms(ut3())
-    kind_basis(A, "z+"), kind_basis(A, ANY)
-    sweep_work()
-    meter = Meter(UNCAPPED)
-    assert _first_nonzero(A, 6, "z+", None, meter) is None
-    _, adds, extends = sweep_work()
-    assert (adds, extends, meter.work) == (40_528, 12_596, 40_612)
+    # a proof sweeps its first tuple and then the whole kind basis, and never a
+    # second tuple, so it makes the same counts whether or not an automorphism
+    # is known. Swept tuple by tuple with none known it made 40,528 adds,
+    # 12,596 extends and 40,612 units
+    searched = ut3()
+    _signed_automorphisms(searched, searched.dim**2)
+    counts = []
+    for A in (without_automorphisms(ut3()), searched):
+        kind_basis(A, "z+"), kind_basis(A, ANY)
+        sweep_work()
+        meter = Meter(UNCAPPED)
+        assert _first_nonzero(A, 6, "z+", None, meter) is None
+        _, adds, extends = sweep_work()
+        counts.append((adds, extends, meter.work))
+    assert counts == [(2_422, 694, 3_089)] * 2
 
 
-def test_rank6_zplus_proof_sweeps_one_tuple_per_orbit(monkeypatch):
-    # the 84 alternating tuples fall into 27 orbits under UT3's automorphisms,
-    # and each tuple swept starts one RankTracker per gap, 5 at rank 6
+def test_rank6_zplus_proof_sweeps_the_first_tuple_and_then_the_whole_basis(monkeypatch):
+    # each sweep starts one RankTracker per gap, 5 at rank 6. The first tuple
+    # vanishes, and one sweep of the whole kind basis then decides the other
+    # 83 at once; tuple by tuple, the 27 orbits of the 84 tuples under UT3's
+    # automorphisms took 5 * 27 trackers and 84 + 12,936 units
     A = ut3()
     _signed_automorphisms(A, A.dim**2)
     trackers = []
@@ -406,10 +422,9 @@ def test_rank6_zplus_proof_sweeps_one_tuple_per_orbit(monkeypatch):
     monkeypatch.setattr(analysis, "RankTracker", Counted)
     meter = Meter(UNCAPPED)
     assert _first_nonzero(A, 6, "z+", None, meter) is None
-    assert len(trackers) == 5 * 27
-    # every tuple charges its unit, skipped or not, and the 27 swept try
-    # 12,936 options
-    assert meter.work == 84 + 12_936
+    assert len(trackers) == 5 * 2
+    # the first tuple's unit, its sweep's 955 and the whole-basis sweep's 2,133
+    assert meter.work == 1 + 955 + 2_133
 
 
 def test_skipping_by_automorphisms_keeps_every_answer():
@@ -423,6 +438,40 @@ def test_skipping_by_automorphisms_keeps_every_answer():
                 got = _first_nonzero(searched, m, kind, deleted, Meter(UNCAPPED))
                 assert got == _first_nonzero(plain, m, kind, deleted, Meter(UNCAPPED)), (kind, m, deleted)
     assert len({p for p, _ in searched._automorphisms}) == 4
+
+
+def test_sweep_work_does_not_depend_on_a_cached_search():
+    # the skip and the search's charge start at one point whether or not the
+    # automorphisms are cached, so a fresh UT3 and one already searched make
+    # the same charges, and a cap refuses both or neither
+    def searched():
+        A = ut3()
+        _signed_automorphisms(A, A.dim**2)
+        return A
+
+    def outcome(call, cap):
+        seen = []
+        for A in (ut3(), searched()):
+            try:
+                seen.append(call(A, RunConfig(cap_evals=cap)))
+            except SizeCapError as e:
+                seen.append(str(e))
+        assert seen[0] == seen[1]
+        return seen[0]
+
+    def rank5(A, config):
+        meter = Meter(config)
+        return _first_nonzero(A, 5, "z+", None, meter)[0], meter.work
+
+    def threshold(A, config):
+        return sg.capelli_threshold(A, "z+", config).threshold
+
+    assert outcome(rank5, 3_748)[1] == 3_748
+    refused = "barred Capelli sweep of kind z+ at rank 5: 3748 units of work in this call, over the cap 3747"
+    assert outcome(rank5, 3_747) == refused
+    assert outcome(threshold, 16_011) == 6
+    refused = "barred Capelli sweep of kind z+ at rank 9: 16011 units of work in this call, over the cap 16010"
+    assert outcome(threshold, 16_010) == refused
 
 
 def test_automorphisms_found_on_ut3_pass_the_check():
@@ -461,3 +510,49 @@ def test_automorphism_check_refuses_a_broken_product_or_star():
     assert B.rows == A.rows
     assert not keeps_grading_and_star(B, swap)
     assert not _is_automorphism(B, swap, plus)
+
+
+# ---------------------------------------------------- the whole-basis sweep
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_whole_basis_sweep_decides_each_tuple_as_its_own_sweep_does(blocks):
+    # the thresholds of UT2 and UT3 are the blocks' component dimension sums
+    # plus the block count; at each rank around them, the whole-basis sweep
+    # vanishes exactly when the sweep of every alternating tuple does
+    A = ut(blocks)
+    law = dict(zip(KINDS, (3 * blocks, blocks, 2 * blocks, 2 * blocks)))
+    decided = []
+    for kind in KINDS:
+        n = len(kind_basis(A, kind))
+        for m in range(law[kind] - 1, min(law[kind] + 1, n) + 1):
+            for deleted in pinned_patterns(m):
+                tuples = combinations(range(n), m)
+                each = all(_span_sweep(A, m, kind, t, deleted, Meter(UNCAPPED)) is None for t in tuples)
+                whole = _span_sweep(A, m, kind, range(n), deleted, Meter(UNCAPPED)) is None
+                assert whole is each, (kind, m, deleted)
+                decided.append(each)
+    assert True in decided and False in decided
+
+
+@pytest.mark.parametrize("blocks,kind,ranks", [
+    (2, "y+", (5, 6)),
+    (2, "y-", (1, 2)),
+    (2, "z+", (3, 4)),
+    (2, "z-", (3, 4)),
+    (3, "y-", (2, 3, 4)),
+])
+def test_whole_basis_sweep_matches_the_reference(blocks, kind, ranks):
+    # barred_rank_is_identity is one whole-basis sweep
+    A = ut(blocks)
+    for m in ranks:
+        want = reference_first_nonzero(A, m, kind, None, UNCAPPED) is None
+        assert sg.barred_rank_is_identity(A, kind, m, UNCAPPED) is want, m
+
+
+def test_whole_basis_sweep_is_bounded_by_its_charge():
+    # UT3's rank-15 untyped proof runs for minutes uncapped; the charge at each
+    # gap, the entries of the states it multiplies and its options, refuses
+    # it as it works
+    with pytest.raises(SizeCapError, match=r"^barred Capelli sweep of kind any at rank 15: 10013 units of work in this call, over the cap 10000$"):
+        sg.barred_rank_is_identity(ut(3), ANY, 15, RunConfig(cap_evals=10_000))
