@@ -28,7 +28,6 @@ from .polynomials import (
     _extend_alternating,
     evaluate_alternating_fast,
     evaluate_sparse,
-    right_row,
 )
 from .triangular import is_trivially_graded, ut_star
 
@@ -144,10 +143,34 @@ def right_products(A):
     """The right_row of each coordinate over kind_basis(A, ANY): for each i, the
     nonzero products e_i x over the homogeneous basis vectors x as (index,
     items) pairs in basis order. Cached on the algebra like kind_basis. The
-    left support {i : e_i x != 0} of x is the set of i whose row lists x."""
+    left support {i : e_i x != 0} of x is the set of i whose row lists x.
+
+    Built by columns from the product rows: e_i x is the sum of x_j (e_i e_j)
+    over the nonzero e_i e_j in ascending j, added into each x with coordinate
+    j. The basis vectors are RREF rows, ascending in j, so each e_i x holds the
+    same entries, in the same order, as sparse_mul(A, {i: 1}, x)."""
     if A._right_products is None:
         basis = kind_basis(A, ANY)
-        A._right_products = [right_row(A, i, basis) for i in range(A.dim)]
+        having = [[] for _ in range(A.dim)]  # having[j]: (t, x_j) for each basis[t] with x_j != 0
+        for t, x in enumerate(basis):
+            for j, c in x.items():
+                having[j].append((t, c))
+        table = []
+        for row in A.rows:
+            acc = {}  # acc[t]: e_i basis[t] so far
+            for j, pr in sorted(row.items()):
+                for t, xj in having[j]:
+                    w = acc.get(t)
+                    if w is None:
+                        w = acc[t] = {}
+                    for k, c in pr:
+                        w[k] = w.get(k, 0) + xj * c
+            table.append([
+                (t, items)
+                for t in sorted(acc)
+                if (items := tuple((k, c if isinstance(c, int) else _as_num(c)) for k, c in acc[t].items() if c))
+            ])
+        A._right_products = table
     return A._right_products
 
 

@@ -3,6 +3,7 @@ decomposition, radical, Peirce decomposition, simplicity, direct sums, serializa
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -63,11 +64,18 @@ def _check_indices(dim, *indices):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+def _shown(c):
+    # repr(c), cut to its first 40 characters when longer
+    r = repr(c)
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+
+
 def _coeff(c):
     """An exact rational from an int, a Fraction or a string such as "-3/2".
 
-    Strings are read by int(), whose digit limit bounds the work; anything
-    else, bools and floats included, is refused."""
+    A string "n/d" gives the int n // d when d divides n, and a Fraction only
+    when it does not. Strings are read by int(), whose digit limit bounds the
+    work; anything else, bools and floats included, is refused."""
     if type(c) is int:
         return c
     if type(c) is Fraction:
@@ -75,10 +83,15 @@ def _coeff(c):
     if type(c) is str and _RATIONAL.fullmatch(c):
         num, _, den = c.partition("/")
         try:
-            return _as_num(Fraction(int(num), int(den or 1)))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"bad coefficient {c!r}: expected a rational such as \"-3/2\"")
+            n, d = int(num), int(den or 1)
+        except ValueError:  # the grammar leaves only int()'s digit limit to fail
+            raise ValueError(
+                f"bad coefficient {_shown(c)}: a numerator or denominator of more than "
+                f"{sys.get_int_max_str_digits()} digits, int()'s limit"
+            ) from None
+        if d:
+            return n // d if n % d == 0 else Fraction(n, d)
+    raise ValueError(f"bad coefficient {_shown(c)}: expected a rational such as \"-3/2\"")
 
 
 _nonzero_coeff = itemgetter(1)  # truthy exactly when the (k, c) pair has c != 0

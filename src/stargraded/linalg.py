@@ -305,7 +305,8 @@ class RankTracker:
 
         Back-substitution from the last pivot up: a stored row is cleared at
         each later pivot against that pivot's already reduced row, which is
-        zero at every other pivot, and then divided by its own pivot entry."""
+        zero at every other pivot, and then divided by its own pivot entry: an
+        int entry that the pivot divides stays an int."""
         out = {}
         for c in reversed(self.pivots):
             cols, vals = self.rows[c]
@@ -315,5 +316,10 @@ class RankTracker:
                 if red is not None:
                     for k, x in red.items():
                         w[k] = w.get(k, 0) - f * x
-            out[c] = {k: _as_num(Fraction(x, vals[0])) for k, x in sorted(w.items()) if x}
+            p = vals[0]
+            out[c] = {
+                k: (x // p if not x % p else Fraction(x, p)) if type(x) is int else _as_num(x / p)
+                for k, x in sorted(w.items())
+                if x
+            }
         return [out[c] for c in self.pivots]

@@ -261,6 +261,17 @@ def test_bad_ranks_and_degrees_exit_one_with_a_message(args, tmp_path):
     assert res.output.startswith("error: ") and len(res.output.strip()) > len("error:")
 
 
+def test_an_over_long_coefficient_is_quoted_in_part(tmp_path):
+    # 5,000 digits exceed int()'s digit limit: the message quotes a bounded
+    # prefix and names the limit
+    doc = Document("long_coefficient", structure=[[0, 0, 0, "9" * 5000]])
+    res = CliRunner().invoke(main, materialize(["dims", "--input", doc], tmp_path))
+    assert res.exit_code == 1
+    assert res.output.startswith("error: bad coefficient '99999")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in res.output
+    assert len(res.output) < 200
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.integers() | st.floats() | st.text(max_size=5)
     | st.sampled_from(["1/0", "-3/2", "1/1", "x/2", ""]),

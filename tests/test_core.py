@@ -2,6 +2,7 @@
 simplicity, serialization."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from stargraded.core import (
     sparse_star,
 )
 from stargraded.errors import InternalInconsistencyError
-from stargraded.linalg import Subspace, solve
+from stargraded.linalg import Subspace, _as_num, solve
 
 
 def test_validate_accepts_well_formed_algebras():
@@ -74,11 +75,33 @@ def test_coefficients_read_as_exact_rationals(c, value):
 
 @pytest.mark.parametrize("c", [
     "1e999999999", "1e3", "0.5", " 3", "3 ", "1_000", "\uff13", "-3/-2", "3/", "/2", "", "+", "1/0",
-    "9" * 5000, "1/" + "7" * 5000, 1.5, 1.0, True, None, [1], {"n": 1},
+    "9" * 5000, "1/" + "7" * 5000, 1.5, 1.0, True, None, [1], {"n": 1}, "1/00", " 1",
+    pytest.param("1.5", id="string 1.5"),
 ])
 def test_coefficients_outside_the_grammar_are_refused(c):
     with pytest.raises(ValueError, match="bad coefficient"):
         core._coeff(c)
+
+
+@pytest.mark.parametrize("c", ["6/3", "-6/3", "+4/2", "-0/5", "7/2", "-7/14", "5", "00/1"])
+def test_string_coefficients_match_the_fraction_route(c):
+    # "n/d" is read in integers, as n // d when d divides n: the value and the
+    # type are those of the Fraction it used to build and normalise
+    num, _, den = c.partition("/")
+    want = _as_num(Fraction(int(num), int(den or 1)))
+    got = core._coeff(c)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("c", ["9" * 5000, "1/" + "7" * 5000, "-" + "3" * 4301 + "/2"])
+def test_an_over_long_coefficient_names_the_digit_limit(c):
+    with pytest.raises(ValueError) as info:
+        core._coeff(c)
+    msg = str(info.value)
+    assert msg.startswith("bad coefficient " + repr(c)[:40] + "...")
+    assert f"({len(c) + 2} characters)" in msg
+    assert f"more than {sys.get_int_max_str_digits()} digits" in msg
+    assert len(msg) < 200
 
 
 def test_validate_catches_non_involutive_star(m2):

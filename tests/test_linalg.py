@@ -460,3 +460,44 @@ def test_coordinate_span():
     assert s.dim == 2
     assert s.contains([0, 7, 0, -1])
     assert not s.contains([1, 0, 0, 0])
+
+
+def reduced_by_fractions(tr):
+    """RankTracker.reduced as it was before its integer fast path: every entry
+    went through _as_num(Fraction(x, pivot))."""
+    out = {}
+    for c in reversed(tr.pivots):
+        cols, vals = tr.rows[c]
+        w = dict(zip(cols, vals))
+        for j, f in zip(cols[1:], vals[1:]):
+            red = out.get(j)
+            if red is not None:
+                for k, x in red.items():
+                    w[k] = w.get(k, 0) - f * x
+        out[c] = {k: _as_num(Fraction(x, vals[0])) for k, x in sorted(w.items()) if x}
+    return [out[c] for c in tr.pivots]
+
+
+INT_ENTRIES = st.integers(-6, 6)
+# integral Fractions such as Fraction(-2, 1) among the proper ones
+FRACTION_ENTRIES = INT_ENTRIES | st.builds(Fraction, INT_ENTRIES) | st.fractions(-3, 3, max_denominator=6)
+
+
+@st.composite
+def int_or_fraction_rows(draw):
+    entries = draw(st.sampled_from([INT_ENTRIES, FRACTION_ENTRIES]))
+    n = draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+@given(int_or_fraction_rows())
+@example([[2, 4, -1], [0, 3, 3]])
+@example([[Fraction(-2, 1), 2], [Fraction(3, 2), 1]])
+@settings(max_examples=300, deadline=None)
+def test_reduced_keeps_the_fraction_formula_and_its_types(rows):
+    # the integer path divides an int entry by its pivot with // when the
+    # pivot divides it: the same values, and an int wherever one is due
+    tr = RankTracker(rows)
+    got = tr.reduced()
+    assert repr(got) == repr(reduced_by_fractions(tr))
+    assert all(type(x) is int or x.denominator != 1 for row in got for x in row.values())

@@ -22,12 +22,13 @@ from stargraded.analysis import (
     _signed_automorphisms,
     _span_sweep,
     kind_basis,
+    right_products,
 )
-from stargraded.checks import parse_algebra_spec, parse_ut_spec
+from stargraded.checks import DIMS_GRID, parse_algebra_spec, parse_ut_spec
 from stargraded.core import sparse_mul
 from stargraded.errors import SizeCapError
 from stargraded.linalg import RankTracker, _as_num
-from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member
+from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member, right_row
 
 UNCAPPED = RunConfig(cap_evals=10**12)
 
@@ -218,6 +219,65 @@ def test_sweep_matches_reference_on_three_blocks():
     assert same_sweep(A, 5, "z+", None, UNCAPPED) is not None
 
 
+# ------------------------------------------------- the right-product table
+
+
+TABLE_SPECS = [s for s, _ in DIMS_GRID] + [
+    "one_sided[m_hl_transpose:1,1]",
+    "tensor[m_hl_transpose:1,1|noncommutative_nilpotent]",
+    "mn_cmn_exchange:1+m_hl_transpose:1,1",
+    "ut m_hl_transpose:1,1+m_hl_transpose:1,1",
+    "ut m_hl_transpose:1,1+m_hl_transpose:1,1+m_hl_transpose:1,1",
+    "ut mn_cmn_star:2,t+m_hl_transpose:2,1",
+]
+
+
+def rescaled_by_index(A):
+    """The same algebra on the basis f_i = (i + 2)/(i + 1) e_i, whose structure
+    constants and basis vectors are Fractions."""
+    doc = sg.to_interchange(A)
+    s = [Fraction(i + 2, i + 1) for i in range(doc["dim"])]
+    doc["structure"] = [[i, j, k, str(Fraction(c) * s[i] * s[j] / s[k])] for i, j, k, c in doc["structure"]]
+    doc["involution"] = [[r, k, str(Fraction(c) * s[k] / s[r])] for r, k, c in doc["involution"]]
+    B = sg.from_interchange(doc)
+    assert sg.validate(B) == []
+    return B
+
+
+def table_algebra(spec, change):
+    kind, *args = spec.split()
+    A = sg.ut_star(parse_ut_spec(args[0], "")) if kind == "ut" else parse_algebra_spec(spec)
+    if change == "signed":
+        return relabel(A, 7)
+    if change == "reversed":
+        # the rows list each e_i e_j in the order (i, j) first appears, not by j
+        doc = sg.to_interchange(A)
+        doc["structure"].reverse()
+        return sg.from_interchange(doc)
+    return rescaled_by_index(A) if change == "rescaled" else A
+
+
+@pytest.mark.parametrize("change", ["plain", "signed", "rescaled", "reversed"])
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_right_product_table_is_right_row_of_each_coordinate(spec, change):
+    # the table is built by columns from the product rows; each entry must be
+    # the sparse_mul product of the coordinate with the basis vector, with the
+    # same values, types and order
+    A = table_algebra(spec, change)
+    basis = kind_basis(A, ANY)
+    want = [right_row(A, i, basis) for i in range(A.dim)]
+    got = right_products(A)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_rescaled_tables_hold_fraction_entries():
+    A = table_algebra("ut m_hl_transpose:1,1+m_hl_transpose:1,1+m_hl_transpose:1,1", "rescaled")
+    entries = [c for row in right_products(A) for _, items in row for _, c in items]
+    assert any(type(c) is Fraction for c in entries)
+    assert any(type(c) is int for c in entries)
+
+
 # -------------------------------------------------------------- lazy terms
 
 
@@ -297,11 +357,13 @@ def test_rank6_zplus_proof_product_count(sweep_work):
     sweep_work()
     assert sg.barred_rank_is_identity(A, "z+", 6, RunConfig(cap_evals=10**12))
     products, adds, extends = sweep_work()
-    # every product is read from the right-product table, whose 36 x 36 entries
-    # (coordinates by homogeneous basis vectors) take 1,296 products. Before the
-    # table the span-pruned sweep made 54,532, a sweep that skips only exact
-    # repeats of the joined states about 96,500 and the unpruned one 1,671,136
-    assert 0 < products < 2_000
+    # every product is read from the right-product table, which is built by
+    # columns from the product rows with no sparse_mul call. Built with one
+    # call per coordinate and homogeneous basis vector it took 1,296; before
+    # the table the span-pruned sweep made 54,532, a sweep that skips only
+    # exact repeats of the joined states about 96,500 and the unpruned one
+    # 1,671,136
+    assert products == 0
     # one sweep on the whole kind basis decides all 84 alternating tuples at
     # once, sharing each prefix product and each gap's span: 1,655 adds and 488
     # extends. Sweeping one tuple per automorphism orbit, 27 of the 84, took
