@@ -285,46 +285,15 @@ def _first_nonzero(A, m, kind, deleted, meter):
     one. The search is bounded by the work it does, not by a nominal count:
     it charges meter, the calling public function's budget, one unit per
     alternating tuple, which covers the member with every gap deleted, and
-    _span_sweep's charge at each gap.
-
-    Whole alternating tuples are skipped by symmetry. Each signed
-    automorphism g of A (_signed_automorphisms) that maps every vector of
-    kind_basis(A, kind) to plus or minus another permutes the tuples, and
-    a tuple T is skipped when some g maps it to a lexicographically earlier
-    tuple g(T), with g's permutation read from _index_maps. That is exact:
-    every earlier tuple has vanished, since the sweep returns at its first
-    nonzero value, and g commutes with evaluation while the connectors range
-    over a basis of A, so the family vanishes on T exactly when it vanishes
-    on g(T). The first nonzero tuple is therefore never skipped, and the
-    answer and the first witness do not change. A skipped tuple still charges
-    its one unit. The skip starts before the next tuple once this sweep has
-    charged as many units as the automorphism search's own charge, dim A
-    squared, which it then charges to meter under a stage of its own, whether
-    or not the automorphisms are already cached on the algebra; the search
-    runs only when they are not. So the work charged does not depend on what
-    an earlier call cached, a sweep that ends first never starts the search,
-    and one that does has already done at least as much work as the search
-    is charged: the search can at most double a sweep that finds its witness
-    soon after."""
+    _span_sweep's charge at each gap."""
     alt_dom = kind_basis(A, kind)
     if m > len(alt_dom):
         return None
     stage = f"barred Capelli sweep of kind {kind} at rank {m}"
     conn_dom = kind_basis(A, ANY)
-    dim = A.dim
-    top = ((1 << m) - 1) * dim  # the full mask's first key
-    maps = None
-    search_charge = dim * dim
-    start = meter.work
+    top = ((1 << m) - 1) * A.dim  # the full mask's first key
     for alt_idx in combinations(range(len(alt_dom)), m):
-        if maps is None and meter.work - start >= search_charge:
-            meter.charge(search_charge, f"automorphism search on {dim} basis vectors")
-            _signed_automorphisms(A, search_charge)
-            identity = tuple(range(len(alt_dom)))
-            maps = sorted({g for g in _index_maps(A, alt_dom) if g not in (None, identity)})
         meter.charge(1, stage)
-        if maps and any(tuple(sorted(map(g.__getitem__, alt_idx))) < alt_idx for g in maps):
-            continue
         hit = _span_sweep(A, m, kind, alt_idx, deleted, meter)
         if hit:
             choices, states = hit
@@ -403,7 +372,12 @@ def _solve_signs(A, p, rows, stars):
     return tuple(-1 if negative >> i & 1 else 1 for i in range(A.dim))
 
 
-def _signed_automorphisms(A, limit):
+def _search_steps(A):
+    # the step budget of _signed_automorphisms, which _codim_memo charges
+    return A.dim * A.dim
+
+
+def _signed_automorphisms(A):
     """The signed permutations (p, s) of the basis found to be automorphisms
     of A, closed under composition with one sign vector per permutation;
     cached on the algebra beside the odd central unit.
@@ -422,13 +396,13 @@ def _signed_automorphisms(A, limit):
 
     Invariant: an element other than the identity is kept only after
     _is_automorphism has checked it against every structure constant, the
-    grading and the involution, and a
-    composition of kept elements is an automorphism. So the result holds
-    automorphisms only; it may miss some, which only makes the sweep skip
-    fewer tuples. Charge: the caller charges limit, dim A squared, to its
-    Meter before calling, and the search stops once it has taken limit
-    steps, one per assignment it propagates, dim per full assignment it
-    checks and one per composition, and keeps what it has found."""
+    grading and the involution, and a composition of kept elements is an
+    automorphism. So the result holds automorphisms only; it may miss some,
+    which only leaves more codimension seeds. Charge: the caller charges
+    _search_steps(A), dim A squared, to its Meter before calling, and the
+    search stops once it has taken that many steps, one per assignment it
+    propagates, dim per full assignment it checks and one per composition,
+    and keeps what it has found."""
     if A._automorphisms is not None:
         return A._automorphisms
     dim = A.dim
@@ -470,7 +444,7 @@ def _signed_automorphisms(A, limit):
     # trail lists the assigned elements in order, so a branch is undone by
     # cutting it back, and the search needs no recursion
     p, inv, trail = [-1] * dim, [-1] * dim, []
-    budget = limit
+    budget = _search_steps(A)
     found = {}
 
     def assign(i, j):
@@ -548,9 +522,9 @@ def _signed_automorphisms(A, limit):
 def _index_maps(A, basis):
     """For each (p, s) in A._automorphisms, the permutation t -> u of the
     indices of basis with e_k -> s[k] e_{p[k]} mapping basis[t] to plus or
-    minus basis[u], or None when there is none. Read by the barred sweep and
-    the codimension seeds; cached on the algebra per basis object, which the
-    cache keeps alive so that its id is not reused."""
+    minus basis[u], or None when there is none. Read by the codimension
+    seeds; cached on the algebra per basis object, which the cache keeps
+    alive so that its id is not reused."""
     autos = A._automorphisms
     hit = A._index_maps.get(id(basis))
     if hit is None or hit[0] is not autos:
@@ -932,10 +906,10 @@ def _codim_memo(A, config, n, assignments, reduce):
     nominal = assignments * factorial(n)
     meter = Meter(config)
     meter.charge(nominal, f"degree-{n} codimension sweep of {nominal} evaluations")
-    search = A.dim * A.dim
+    search = _search_steps(A)
     if reduce and A._automorphisms is None and search <= nominal and meter.affords(search):
         meter.charge(search, f"automorphism search on {A.dim} basis vectors")
-        _signed_automorphisms(A, search)
+        _signed_automorphisms(A)
     return {_AUTOMORPHISMS: True} if reduce and len(A._automorphisms or ()) > 1 else {}
 
 

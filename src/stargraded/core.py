@@ -57,7 +57,7 @@ class PeirceDecomposition:
 def _check_indices(dim, *indices):
     for i in indices:
         if type(i) is not int or not 0 <= i < dim:
-            raise ValueError(f"basis index {i!r} is outside range({dim})")
+            raise ValueError(f"basis index {_shown(i)} is outside range({dim})")
 
 
 # an optional sign, digits, and optionally "/" and digits; no exponent, point or space
@@ -113,7 +113,7 @@ class StarSuperAlgebra:
             raise ValueError(f"dim {dim} but {len(labels)} labels and {len(grading)} grading bits")
         for g in grading:
             if g not in (0, 1):
-                raise ValueError(f"grading bit {g!r} is not 0 or 1")
+                raise ValueError(f"grading bit {_shown(g)} is not 0 or 1")
         rows = [{} for _ in range(dim)]
         for i, j, k, c in structure:
             _check_indices(dim, i, j, k)
@@ -640,14 +640,14 @@ def from_interchange(doc):
         raise ValueError(f"the interchange document has no {', '.join(missing)}")
     dim = doc["dim"]
     if type(dim) is not int or dim < 0:
-        raise ValueError(f"dim must be a nonnegative integer, not {dim!r}")
+        raise ValueError(f"dim must be a nonnegative integer, not {_shown(dim)}")
     for key in ("labels", "grading", "structure", "involution"):
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list, not {type(doc[key]).__name__}")
     for key, arity in (("structure", 4), ("involution", 3)):
         for e in doc[key]:
             if not isinstance(e, list) or len(e) != arity:
-                raise ValueError(f"{key} entry {e!r} is not a list of {arity} items")
+                raise ValueError(f"{key} entry {_shown(e)} is not a list of {arity} items")
     wed = None
     if doc.get("wedderburn") is not None:
         w = doc["wedderburn"]

@@ -238,6 +238,11 @@ BAD_DOCUMENTS = [
         Document("involution_arity", involution=[[0, 0, "1/1", 1]]),
         Document("structure_entry_type", structure=[5]),
         Document("coefficient_exponent", structure=[[0, 0, 0, "1e999999999"]]),
+        # long bad values, quoted in part: 40 characters and the length
+        Document("long_structure_entry", structure=[[0] * 5000]),
+        Document("long_index", structure=[["7" * 5000, 0, 0, "1/1"]]),
+        Document("long_grading_bit", grading=[0, "1" * 5000, 0, 0]),
+        Document("long_dim", dim="4" * 5000),
     )
 ]
 
@@ -259,6 +264,7 @@ def test_bad_ranks_and_degrees_exit_one_with_a_message(args, tmp_path):
     res = CliRunner().invoke(main, materialize(args, tmp_path))
     assert res.exit_code == 1
     assert res.output.startswith("error: ") and len(res.output.strip()) > len("error:")
+    assert res.output.count("\n") == 1 and len(res.output.encode()) < 200
 
 
 def test_an_over_long_coefficient_is_quoted_in_part(tmp_path):
@@ -419,29 +425,16 @@ def test_barred_sweep_refusal_reports_its_work(tmp_path):
     path = tmp_path / "ut3.json"
     components = "+".join(["m_hl_transpose:1,1"] * 3)
     assert run("--out", str(path), "ut", "--components", components).exit_code == 0
-    # UT3's z+ ranks 1-6 charge 7,001 units in all, the last of them in the
+    # UT3's z+ ranks 1-6 charge 5,705 units in all, the last of them in the
     # rank-6 proof's whole-basis sweep
-    res = run("--cap-evals", "7000", "threshold", "--input", str(path), "--kind", "z+")
+    res = run("--cap-evals", "5704", "threshold", "--input", str(path), "--kind", "z+")
     assert res.exit_code == 2
     assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 6: ")
     work = int(res.output.split(": ")[2].split()[0])
-    assert work == 7_001
-    res = run("--cap-evals", "7001", "threshold", "--input", str(path), "--kind", "z+")
+    assert work == 5_705
+    res = run("--cap-evals", "5705", "threshold", "--input", str(path), "--kind", "z+")
     assert res.exit_code == 2
     assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 7: ")
-
-
-def test_refusal_inside_the_automorphism_search_reports_its_work(tmp_path):
-    # UT3's z+ ranks 1-5 charge 1,831 units before the rank-5 sweep starts the
-    # search, which charges 36^2 = 1,296 at once
-    path = tmp_path / "ut3.json"
-    components = "+".join(["m_hl_transpose:1,1"] * 3)
-    assert run("--out", str(path), "ut", "--components", components).exit_code == 0
-    res = run("--cap-evals", "3000", "threshold", "--input", str(path), "--kind", "z+")
-    assert res.exit_code == 2
-    assert res.output.startswith(
-        "refused: automorphism search on 36 basis vectors: 3127 units of work in this call, over the cap 3000"
-    )
 
 
 def scaled_m11(tmp_path, coeff):

@@ -34,8 +34,8 @@ UNCAPPED = RunConfig(cap_evals=10**12)
 
 
 def ut(blocks):
-    """UT of that many M_{1,1} blocks, built afresh: the sweep caches the
-    automorphisms it finds on the algebra."""
+    """UT of that many M_{1,1} blocks, built afresh, so that no test reads
+    what another cached on the algebra."""
     return sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * blocks), ""))
 
 
@@ -366,17 +366,14 @@ def test_rank6_zplus_proof_product_count(sweep_work):
     assert products == 0
     # one sweep on the whole kind basis decides all 84 alternating tuples at
     # once, sharing each prefix product and each gap's span: 1,655 adds and 488
-    # extends. Sweeping one tuple per automorphism orbit, 27 of the 84, took
-    # 13,703 and 4,238, and every tuple 40,528 and 12,596
+    # extends
     assert adds == 1_655
     assert extends == 488
 
 
 def test_rank6_zplus_proof_budget_is_its_counted_work():
     # the whole-basis sweep alone: at each gap the entries of the states it
-    # multiplies plus its options, 2,133 in all. Per tuple with the
-    # automorphism skip it was 15,083, with 1,296 for the search, and with
-    # every tuple swept 40,612
+    # multiplies plus its options, 2,133 in all
     assert sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=2_133))
     with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 2133 units of work in this call, over the cap 2132"):
         sg.barred_rank_is_identity(ut3(), "z+", 6, RunConfig(cap_evals=2_132))
@@ -385,11 +382,9 @@ def test_rank6_zplus_proof_budget_is_its_counted_work():
 def test_threshold_ranks_share_one_budget():
     # UT3's z+ threshold is 6: witnesses at ranks 1-5, the rank-6 proof, and the
     # re-sweep of ranks 7-10, where rank 10 is over the dimension and costs
-    # nothing. The call's budget is the sum of every rank's units, 16,011, far
-    # above the largest rank's 3,748. Rank 5 charges the automorphism search's
-    # 1,296 units among its 3,748; ranks 6-9 each sweep their first tuple and
-    # then the whole kind basis. Swept tuple by tuple the ranks cost [1, 34, 49,
-    # 57, 3,209, 13,020, 9,921, 4,265, 1,656, 0], 32,212 in all
+    # nothing. The call's budget is the sum of every rank's units, 14,715, far
+    # above the largest rank's 3,709; ranks 6-9 each sweep their first tuple
+    # and then the whole kind basis
     A = ut3()
     meter = Meter(UNCAPPED)
     units = []
@@ -397,18 +392,16 @@ def test_threshold_ranks_share_one_budget():
         before = meter.work
         _first_nonzero(A, m, "z+", None, meter)
         units.append(meter.work - before)
-    assert units == [1, 38, 57, 68, 3_748, 3_089, 3_167, 3_709, 2_134, 0]
-    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=16_011)).threshold == 6
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 16011 units of work in this call, over the cap 16010"):
-        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=16_010))
+    assert units == [1, 38, 57, 68, 2_452, 3_089, 3_167, 3_709, 2_134, 0]
+    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=14_715)).threshold == 6
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 14715 units of work in this call, over the cap 14714"):
+        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=14_714))
 
 
 def test_generator_set_members_share_one_budget():
     # the 32 members of the rank-6 barred z+ set on UT3 are identities; swept
     # one by one, each its first tuple and then the whole kind basis, the
-    # largest costs 2,708 units and all of them 22,476. No member sweeps a
-    # second tuple, so none starts the automorphism search. Tuple by tuple
-    # they cost 13,198 and 109,181 with the search, 35,122 and 331,816 without
+    # largest costs 2,708 units and all of them 22,476
     members = sg.barred_capelli_set(6, "z+")
     assert sg.satisfies_generator_set(ut3(), members, RunConfig(cap_evals=22_476)).satisfied
     with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 22476 units of work in this call, over the cap 22475"):
@@ -439,23 +432,39 @@ def test_sweep_work_is_the_same_on_every_signed_relabeling(sweep_work):
     assert all(len(seen) == 1 for seen in counts.values()), counts
 
 
-# ------------------------------------------------- skipping by automorphisms
+# ------------------------------------ automorphisms, which the sweep ignores
 
 
 def without_automorphisms(A):
-    """A with its automorphism cache pre-seeded as searched with none found,
-    so that the sweep visits every alternating tuple."""
+    """A with its automorphism cache pre-seeded as searched with none found."""
     A._automorphisms = ()
     return A
 
 
-def test_rank6_zplus_proof_without_automorphisms_keeps_its_counts(sweep_work):
-    # a proof sweeps its first tuple and then the whole kind basis, and never a
-    # second tuple, so it makes the same counts whether or not an automorphism
-    # is known. Swept tuple by tuple with none known it made 40,528 adds,
-    # 12,596 extends and 40,612 units
+def test_the_sweep_ignores_automorphisms():
+    # a threshold search never starts the automorphism search, and an algebra
+    # whose cache is pre-seeded, searched or empty, gives the same reports for
+    # the same work
+    A = ut3()
+    reports = [sg.capelli_threshold(A, kind) for kind in ("z+", "y-")]
+    assert A._automorphisms is None
     searched = ut3()
-    _signed_automorphisms(searched, searched.dim**2)
+    assert len(_signed_automorphisms(searched)) > 1
+    works = []
+    for B in (ut3(), searched, without_automorphisms(ut3())):
+        assert [sg.capelli_threshold(B, kind) for kind in ("z+", "y-")] == reports
+        meter = Meter(UNCAPPED)
+        for m in range(1, 11):
+            _first_nonzero(B, m, "z+", None, meter)
+        works.append(meter.work)
+    assert works == [14_715] * 3
+
+
+def test_rank6_zplus_proof_without_automorphisms_keeps_its_counts(sweep_work):
+    # a proof sweeps its first tuple and then the whole kind basis, with the
+    # same counts whether or not an automorphism is known
+    searched = ut3()
+    _signed_automorphisms(searched)
     counts = []
     for A in (without_automorphisms(ut3()), searched):
         kind_basis(A, "z+"), kind_basis(A, ANY)
@@ -470,10 +479,8 @@ def test_rank6_zplus_proof_without_automorphisms_keeps_its_counts(sweep_work):
 def test_rank6_zplus_proof_sweeps_the_first_tuple_and_then_the_whole_basis(monkeypatch):
     # each sweep starts one RankTracker per gap, 5 at rank 6. The first tuple
     # vanishes, and one sweep of the whole kind basis then decides the other
-    # 83 at once; tuple by tuple, the 27 orbits of the 84 tuples under UT3's
-    # automorphisms took 5 * 27 trackers and 84 + 12,936 units
+    # 83 at once
     A = ut3()
-    _signed_automorphisms(A, A.dim**2)
     trackers = []
 
     class Counted(RankTracker):
@@ -489,64 +496,17 @@ def test_rank6_zplus_proof_sweeps_the_first_tuple_and_then_the_whole_basis(monke
     assert meter.work == 1 + 955 + 2_133
 
 
-def test_skipping_by_automorphisms_keeps_every_answer():
-    # witnesses below each threshold and identities from it on, with every
-    # deletion pattern and with one pinned pattern, against the sweep that
-    # knows no automorphism
-    searched, plain = ut3(), without_automorphisms(ut3())
-    for kind, ranks in (("z+", (5, 6, 7)), ("y+", (8, 9, 10))):
-        for m in ranks:
-            for deleted in (None, pinned_patterns(m)[1]):
-                got = _first_nonzero(searched, m, kind, deleted, Meter(UNCAPPED))
-                assert got == _first_nonzero(plain, m, kind, deleted, Meter(UNCAPPED)), (kind, m, deleted)
-    assert len({p for p, _ in searched._automorphisms}) == 4
-
-
-def test_sweep_work_does_not_depend_on_a_cached_search():
-    # the skip and the search's charge start at one point whether or not the
-    # automorphisms are cached, so a fresh UT3 and one already searched make
-    # the same charges, and a cap refuses both or neither
-    def searched():
-        A = ut3()
-        _signed_automorphisms(A, A.dim**2)
-        return A
-
-    def outcome(call, cap):
-        seen = []
-        for A in (ut3(), searched()):
-            try:
-                seen.append(call(A, RunConfig(cap_evals=cap)))
-            except SizeCapError as e:
-                seen.append(str(e))
-        assert seen[0] == seen[1]
-        return seen[0]
-
-    def rank5(A, config):
-        meter = Meter(config)
-        return _first_nonzero(A, 5, "z+", None, meter)[0], meter.work
-
-    def threshold(A, config):
-        return sg.capelli_threshold(A, "z+", config).threshold
-
-    assert outcome(rank5, 3_748)[1] == 3_748
-    refused = "barred Capelli sweep of kind z+ at rank 5: 3748 units of work in this call, over the cap 3747"
-    assert outcome(rank5, 3_747) == refused
-    assert outcome(threshold, 16_011) == 6
-    refused = "barred Capelli sweep of kind z+ at rank 9: 16011 units of work in this call, over the cap 16010"
-    assert outcome(threshold, 16_010) == refused
-
-
 def test_automorphisms_found_on_ut3_pass_the_check():
     A = ut3()
-    autos = _signed_automorphisms(A, A.dim**2)
+    autos = _signed_automorphisms(A)
     assert all(_is_automorphism(A, p, s) for p, s in autos)
     assert len({p for p, _ in autos}) == 4
-    assert _signed_automorphisms(A, 0) is autos
+    assert _signed_automorphisms(A) is autos
     # signs are solved, not branched on, so a signed relabeling has the same
-    # permutation parts and the sweep skips the same tuples on it
+    # permutation parts, and its codimension seeds fall into the same orbits
     for seed in (1, 2):
         B = relabel(A, seed)
-        assert {p for p, _ in _signed_automorphisms(B, B.dim**2)} == {p for p, _ in autos}
+        assert {p for p, _ in _signed_automorphisms(B)} == {p for p, _ in autos}
 
 
 def test_automorphism_check_refuses_a_broken_product_or_star():
