@@ -757,7 +757,9 @@ def _slot_groups(domains):
 
 
 def _representative_columns(A, domains, groups, trie):
-    """The _word_columns of each orbit representative, sharing trie.
+    """The _word_columns of each orbit representative, sharing trie, each with
+    its label: the representative's index into its domain at every slot, then
+    the column's position among the representative's columns.
 
     A representative lists, per slot group, the indices of its vectors in the
     group's domain, non-decreasing: one per orbit of H. When trie holds
@@ -773,6 +775,7 @@ def _representative_columns(A, domains, groups, trie):
         maps = {g for g in zip(*(_index_maps(A, groups[k][0]) for k in moved)) if None not in g}
         maps.discard(tuple(tuple(range(len(groups[k][0]))) for k in moved))
     vecs = [None] * len(domains)
+    index = [0] * len(domains)
     for rep in product(*(combinations_with_replacement(range(len(d)), len(slots)) for d, slots in groups)):
         if maps:
             least = tuple(rep[k] for k in moved)
@@ -781,7 +784,9 @@ def _representative_columns(A, domains, groups, trie):
         for (d, slots), picked in zip(groups, rep):
             for s, t in zip(slots, picked):
                 vecs[s] = d[t]
-        yield from _word_columns(A, vecs, trie)
+                index[s] = t
+        for k, col in enumerate(_word_columns(A, vecs, trie)):
+            yield col, (*index, k)
 
 
 def _lex_index(n):
@@ -791,10 +796,11 @@ def _lex_index(n):
 def _generator_maps(grouping, n, trie):
     """The reindexings sigma -> index(tau o sigma), as itemgetters on columns, of
     the transposition (s_0 s_1) and, for c > 2, the cycle (s_0 ... s_{c-1}) of
-    each slot group s_0 < ... < s_{c-1} of grouping, a tuple of slot tuples.
-    They generate the group H below. trie, the call's memo, keeps the lex
-    index of the n! permutations under _LEX_INDEX, built once per call, and
-    each cycle's itemgetter under the cycle."""
+    each slot group s_0 < ... < s_{c-1} of grouping, a tuple of slot tuples,
+    each paired with the map s -> tau(s) on labels (_representative_columns)
+    that gives the label of the image. They generate the group H below. trie,
+    the call's memo, keeps the lex index of the n! permutations under
+    _LEX_INDEX, built once per call, and each cycle's pair under the cycle."""
     if _LEX_INDEX not in trie:
         trie[_LEX_INDEX] = _lex_index(n)
     maps = []
@@ -805,7 +811,10 @@ def _generator_maps(grouping, n, trie):
                 for s, t in zip(cycle, cycle[1:] + cycle[:1]):
                     tau[s] = t
                 # permutations(tau) lists tau o sigma for sigma in lex order
-                trie[cycle] = itemgetter(*map(trie[_LEX_INDEX].__getitem__, permutations(tau)))
+                trie[cycle] = (
+                    itemgetter(*map(trie[_LEX_INDEX].__getitem__, permutations(tau))),
+                    itemgetter(*tau, n),
+                )
             maps.append(trie[cycle])
     return maps
 
@@ -828,6 +837,16 @@ def _assignment_rank(A, domains, trie):
     every generator image of an accepted vector: S is H-stable and contains V.
     Each image is the column of some a o tau, so S = V. Insertion stops as
     soon as the rank reaches n!, the number of rows.
+
+    Every queued column carries a label, its assignment at each slot and its
+    position k among that assignment's columns (_representative_columns). The
+    image under tau is the column of a o tau at the same k, as reindexing keeps
+    which coordinates are nonzero, so its label is the label mapped by tau and
+    a label fixes its column. An image is built only when its label is new,
+    and queued only when its value is new too, since equal columns can carry
+    different labels: the tracker gets the columns it would get from values
+    alone. seeds maps each value met to its first label and is the set of
+    values seen.
 
     Fewer seeds suffice. For an automorphism g of A, w_sigma(g o a) =
     g(w_sigma(a)), so the columns of g o a span what those of a span, and g,
@@ -856,25 +875,31 @@ def _assignment_rank(A, domains, trie):
     if any(not d for d in domains):
         return 0
     groups = _slot_groups(domains)
-    seeds = dict.fromkeys(_representative_columns(A, domains, groups, trie))
+    seeds, labels = {}, set()
+    for col, label in _representative_columns(A, domains, groups, trie):
+        seeds.setdefault(col, label)
+        labels.add(label)
     grouping = tuple(tuple(slots) for _, slots in groups)
     gens = trie.get(grouping)
     if gens is None:
         gens = trie[grouping] = _generator_maps(grouping, n, trie)
-    seen = set(seeds)
     tracker = RankTracker()
     queue = deque()
-    for seed in sorted(seeds, key=lambda col: len(col) - col.count(0)):
+    for seed in sorted(seeds.items(), key=lambda item: len(item[0]) - item[0].count(0)):
         queue.append(seed)
         while queue:
-            col = queue.popleft()
+            col, label = queue.popleft()
             if tracker.add(col):
                 if tracker.rank == nfact:
                     return nfact
-                for image in (g(col) for g in gens):
-                    if image not in seen:
-                        seen.add(image)
-                        queue.append(image)
+                for g, relabel in gens:
+                    image_label = relabel(label)
+                    if image_label not in labels:
+                        labels.add(image_label)
+                        image = g(col)
+                        # one hash: a new value keeps image_label itself
+                        if seeds.setdefault(image, image_label) is image_label:
+                            queue.append((image, image_label))
     return tracker.rank
 
 

@@ -16,6 +16,7 @@ from .analysis import (
     threshold_offsets,
 )
 from .core import (
+    _shown,
     direct_sum,
     hom_dims,
     is_star_graded_simple,
@@ -100,7 +101,7 @@ def parse_family_token(text):
     """One family token, e.g. 'mn_cmn_star:2,t', as a FamilyTag."""
     name, _, args = text.strip().partition(":")
     if name not in TOKEN_TO_TAG:
-        raise ValueError(f"unknown family {name!r}")
+        raise ValueError(f"unknown family {_shown(name)}")
     return FamilyTag(TOKEN_TO_TAG[name], _parse_params(args) if args else ())
 
 
@@ -144,14 +145,14 @@ def _plan_term(text):
     if name == "commutative_nilpotent":
         params = _parse_params(args) if args else (1,)
         if len(params) != 1:
-            raise ValueError(f"commutative_nilpotent takes one parameter k, got {args!r}")
+            raise ValueError(f"commutative_nilpotent takes one parameter k, got {_shown(args)}")
         (k,) = params
         if type(k) is not int or k < 1:
-            raise ValueError(f"commutative_nilpotent needs an integer k >= 1, got {k!r}")
+            raise ValueError(f"commutative_nilpotent needs an integer k >= 1, got {_shown(k)}")
         return k, lambda: commutative_nilpotent(k)
     if name == "noncommutative_nilpotent":
         if args:
-            raise ValueError(f"noncommutative_nilpotent takes no parameters, got {args!r}")
+            raise ValueError(f"noncommutative_nilpotent takes no parameters, got {_shown(args)}")
         return 4, noncommutative_nilpotent
     tag = parse_family_token(text)
     return sum(classified_hom_dims(tag)), lambda: build_family(tag)

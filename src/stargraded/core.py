@@ -192,9 +192,10 @@ def grading_projection(A, u, degree):
     return {k: c for k, c in u.items() if A.grading[k] == degree}
 
 
-def _failing(diff):
-    # sorted keys, last coordinate dropped, of the nonzero entries of a difference
-    return sorted({key[:-1] for key, x in diff.items() if x != 0})
+def _failing(diff, d):
+    # the pairs (j, k), sorted, of the nonzero entries of a difference keyed by
+    # (j*d + k)*d + t: sorting key // d sorts the pairs
+    return [divmod(jk, d) for jk in sorted({key // d for key, x in diff.items() if x != 0})]
 
 
 def validate(A):
@@ -202,30 +203,36 @@ def validate(A):
 
     Both sides of associativity and of the antiautomorphism law are summed from
     the nonzero structure constants only, so a basis triple or pair whose
-    products all vanish costs nothing; it is still checked, as a zero difference."""
+    products all vanish costs nothing; it is still checked, as a zero difference.
+    The sums are keyed by one int per basis triple, (j*d + k)*d + t."""
     report = []
     d = A.dim
     rows = A.rows
-    # landing[m]: the (j, k, c) with c the e_m coefficient of e_j e_k
+    # landing[m]: the ((j*d + k)*d, c) with c the e_m coefficient of e_j e_k
     landing = [[] for _ in range(d)]
     for j, row in enumerate(rows):
         for k, jk in row.items():
+            base = (j * d + k) * d
             for m, c in jk:
-                landing[m].append((j, k, c))
+                landing[m].append((base, c))
     # associativity on all basis triples, one left factor i at a time:
-    # diff[(j, k, t)] is the e_t coefficient of (e_i e_j) e_k - e_i (e_j e_k)
+    # diff[(j*d + k)*d + t] is the e_t coefficient of (e_i e_j) e_k - e_i (e_j e_k)
     for i in range(d):
         diff = {}
         for j, ij in rows[i].items():
+            jd = j * d
             for m, c in ij:
                 for k, mk in rows[m].items():
+                    base = (jd + k) * d
                     for t, c2 in mk:
-                        diff[j, k, t] = diff.get((j, k, t), 0) + c * c2
+                        key = base + t
+                        diff[key] = diff.get(key, 0) + c * c2
         for m, im in rows[i].items():
-            for j, k, c in landing[m]:
+            for base, c in landing[m]:
                 for t, c2 in im:
-                    diff[j, k, t] = diff.get((j, k, t), 0) - c * c2
-        for j, k in _failing(diff):
+                    key = base + t
+                    diff[key] = diff.get(key, 0) - c * c2
+        for j, k in _failing(diff, d):
             report.append(f"associativity fails at basis triple ({i},{j},{k})")
     # grading compatibility of products
     for i, row in enumerate(rows):
@@ -245,8 +252,8 @@ def validate(A):
             if x != 0 and A.grading[r] != A.grading[k]:
                 report.append(f"involution grading preservation fails at basis {k}")
                 break
-    # antiautomorphism on all basis pairs: diff[(i, j, t)] is the e_t coefficient
-    # of (e_i e_j)* - e_j* e_i*, where e_j* = sum_a S[a][j] e_a
+    # antiautomorphism on all basis pairs: diff[(i*d + j)*d + t] is the e_t
+    # coefficient of (e_i e_j)* - e_j* e_i*, where e_j* = sum_a S[a][j] e_a
     inv_rows = [[] for _ in range(d)]
     for k in range(d):
         for a, x in A.star_sparse(k).items():
@@ -256,14 +263,18 @@ def validate(A):
     diff = {}
     for a, row in enumerate(rows):
         for b, ab in row.items():
+            base = (a * d + b) * d
             for m, c in ab:
                 for t, x in A.star_sparse(m).items():
-                    diff[a, b, t] = diff.get((a, b, t), 0) + c * x
+                    key = base + t
+                    diff[key] = diff.get(key, 0) + c * x
             for j, x in inv_rows[a]:
                 for i, y in inv_rows[b]:
+                    base = (i * d + j) * d
                     for t, c in ab:
-                        diff[i, j, t] = diff.get((i, j, t), 0) - x * y * c
-    for i, j in _failing(diff):
+                        key = base + t
+                        diff[key] = diff.get(key, 0) - x * y * c
+    for i, j in _failing(diff, d):
         report.append(f"antiautomorphism fails at basis pair ({i},{j})")
     return report
 

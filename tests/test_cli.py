@@ -193,6 +193,11 @@ BAD_INPUTS = [
     ("dims", "--spec", "commutative_nilpotent:0"),
     ("dims", "--spec", "commutative_nilpotent:1,2"),
     ("dims", "--spec", "noncommutative_nilpotent:3"),
+    # long bad specs, quoted in part
+    ("dims", "--spec", "x" * 3000),
+    ("dims", "--spec", "commutative_nilpotent:" + ",".join(["1"] * 2001)),
+    ("dims", "--spec", "commutative_nilpotent:" + "k" * 3000),
+    ("dims", "--spec", "noncommutative_nilpotent:" + "3" * 3000),
 ]
 BAD_OPTIONS = [
     ("ut", "--components", "m_hl_transpose:1,0", "--shifts", "0,1"),

@@ -2,6 +2,7 @@
 against the plain product enumeration on the Fraction tracker, closed forms,
 and pinned work counts."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -565,8 +566,8 @@ def recording(monkeypatch):
 # comments: the insertions made, then those of the same sweep inserting every
 # distinct orbit column sparsest first
 @pytest.mark.parametrize("spec,graded,n,value,bound", [
-    ("m_hl_transpose:1,1", False, 6, 346, 500),  # 450; 1,653
-    ("mn_cmn_star:2,t", True, 5, 13792, 2_200),  # 203; 423
+    ("m_hl_transpose:1,1", False, 6, 346, 500),  # 435; 1,653
+    ("mn_cmn_star:2,t", True, 5, 13792, 2_200),  # 181; 423
 ])
 def test_spinning_bounds_the_rank_insertions(recording, spec, graded, n, value, bound):
     A = parse_algebra_spec(spec)
@@ -614,3 +615,153 @@ def test_spun_span_is_stable_under_every_slot_permutation(monkeypatch, recording
     for n in ordinary_degrees(A, 4):
         sg.codim_ordinary(A, n)
     assert checked[0] > 0
+
+
+# ------------------------------------------------------------------ labels
+
+
+def value_spin(A, domains, trie):
+    """The spin keyed by values alone: every generator image is built and
+    hashed, and queued when its value is new."""
+    n = len(domains)
+    nfact = factorial(n)
+    if any(not d for d in domains):
+        return 0
+    groups = analysis._slot_groups(domains)
+    seeds = dict.fromkeys(col for col, _ in analysis._representative_columns(A, domains, groups, trie))
+    grouping = tuple(tuple(slots) for _, slots in groups)
+    gens = [g for g, _ in analysis._generator_maps(grouping, n, trie)]
+    seen = set(seeds)
+    tracker = analysis.RankTracker()
+    queue = deque()
+    for seed in sorted(seeds, key=lambda col: len(col) - col.count(0)):
+        queue.append(seed)
+        while queue:
+            col = queue.popleft()
+            if tracker.add(col):
+                if tracker.rank == nfact:
+                    return nfact
+                for image in (g(col) for g in gens):
+                    if image not in seen:
+                        seen.add(image)
+                        queue.append(image)
+    return tracker.rank
+
+
+class LoggingTracker(RankTracker):
+    """The library tracker, logging every vector it is handed."""
+
+    log = []
+
+    def add(self, vec):
+        LoggingTracker.log.append(vec)
+        return super().add(vec)
+
+
+def count_images(monkeypatch):
+    """Patch _generator_maps so that every column image built is counted."""
+    built = [0]
+    original = analysis._generator_maps
+
+    def counted(grouping, n, trie):
+        def counting(g):
+            def image(col):
+                built[0] += 1
+                return g(col)
+
+            return image
+
+        return [(counting(g), relabel) for g, relabel in original(grouping, n, trie)]
+
+    monkeypatch.setattr(analysis, "_generator_maps", counted)
+    return built
+
+
+def tracker_inputs(monkeypatch, f, A, n, spin):
+    """f(A, n) with spin as _assignment_rank: its value, the vectors handed to
+    RankTracker within spin, in order, and the column images built. The odd
+    unit and automorphism searches, which use RankTracker too, are not logged."""
+    LoggingTracker.log = []
+
+    def logged(*args):
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "RankTracker", LoggingTracker)
+            return spin(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_assignment_rank", logged)
+        built = count_images(m)
+        value = f(A, n).value
+    return value, LoggingTracker.log, built[0]
+
+
+def rescaled_m2():
+    A = parse_algebra_spec("m_hl_transpose:1,1")
+    return rescaled(A, scales_for(A.dim, 1))
+
+
+LABEL_CASES = [
+    *((spec, sg.codim_graded, n) for spec in FAMILIES for n in range(1, 5)),
+    *((spec, sg.codim_ordinary, n) for spec in FAMILIES for n in ordinary_degrees(parse_algebra_spec(spec), 4)),
+    ("m_hl_transpose:1,1", sg.codim_graded, 6),
+    ("m_hl_transpose:1,1", sg.codim_ordinary, 6),
+    ("mn_cmn_star:2,t", sg.codim_graded, 5),
+    (UT2, sg.codim_graded, 4),
+    ("rescaled m_hl_transpose:1,1", sg.codim_graded, 4),
+    ("rescaled m_hl_transpose:1,1", sg.codim_ordinary, 4),
+]
+
+
+@pytest.mark.parametrize("spec,f,n", LABEL_CASES)
+def test_labels_hand_the_tracker_the_columns_of_the_value_spin(monkeypatch, spec, f, n):
+    A = rescaled_m2() if spec.startswith("rescaled") else build(spec)
+    got = tracker_inputs(monkeypatch, f, A, n, analysis._assignment_rank)
+    want = tracker_inputs(monkeypatch, f, A, n, value_spin)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] <= want[2]
+
+
+def test_labels_skip_most_images_of_graded_m2_at_degree_6(monkeypatch):
+    # of the 476 generator images the value spin builds, 365 have a label met
+    # before; 10 of the 111 built are equal to a column met before
+    A = parse_algebra_spec("m_hl_transpose:1,1")
+    got = tracker_inputs(monkeypatch, sg.codim_graded, A, 6, analysis._assignment_rank)
+    want = tracker_inputs(monkeypatch, sg.codim_graded, A, 6, value_spin)
+    assert got[0] == want[0] == 4033
+    assert (got[2], want[2]) == (111, 476)
+
+
+def assignment_columns(A, domains, label):
+    vecs = [domains[s][t] for s, t in enumerate(label[:-1])]
+    return list(_word_columns(A, vecs, {}))
+
+
+@pytest.mark.parametrize("spec", FAMILIES + (UT2,))
+def test_a_label_names_its_column_and_the_image_label_names_the_image(spec):
+    """Every label _representative_columns gives names the column it comes
+    with. For every assignment a, column k and generator g, the label map takes
+    (a, k) to a label whose assignment's column is g(col), the column of a o tau
+    (reindexed)."""
+    A = build(spec)
+    checked = 0
+    contents = [c for n in range(2, 5) for c in analysis._contents(n)]
+    for domains in [content_domains(A, c) for c in contents] + [[kind_basis(A, None)] * 3]:
+        if any(not d for d in domains) or prod(map(len, domains)) > 256:
+            continue
+        n = len(domains)
+        groups = analysis._slot_groups(domains)
+        trie = {}
+        for col, label in analysis._representative_columns(A, domains, groups, trie):
+            assert assignment_columns(A, domains, label)[label[-1]] == col
+        grouping = tuple(tuple(slots) for _, slots in groups)
+        gens = analysis._generator_maps(grouping, n, trie)
+        for combo in product(*(range(len(d)) for d in domains)):
+            for k, col in enumerate(assignment_columns(A, domains, (*combo, 0))):
+                for g, relabel in gens:
+                    tau = relabel(tuple(range(n + 1)))[:-1]
+                    image = relabel((*combo, k))
+                    assert image == (*(combo[t] for t in tau), k)
+                    assert assignment_columns(A, domains, image)[k] == g(col) == reindexed(col, tau)
+                    checked += 1
+    assert checked > 0
