@@ -578,26 +578,51 @@ def satisfies_generator_set(A, polys, config=DEFAULT_CONFIG):
     return GeneratorSetReport(True, None, None)
 
 
+def radical_bound(A, kind):
+    """u = dim V_k - dim(J ∩ V_k) + p, with J the radical, J^p = 0, and V_k the
+    kind's component, or the whole algebra for kind any: every rank from u on
+    is an identity. Over Q, A = B + J with B a subalgebra stable under the
+    grading and the involution (Wedderburn-Malcev), so V_k has a basis drawn
+    from B ∩ V_k and J ∩ V_k. A member alternating in u variables of V_k
+    vanishes when two of them are equal, so on that basis at least p of them
+    lie in J, and a monomial with p factors in J is zero (Giambruno-Zaicev
+    2005, Polynomial Identities and Asymptotic Methods). For a simple
+    algebra J = 0 and p = 1, so u is dim V_k + 1."""
+    J = jacobson_radical(A)
+    if kind == ANY:
+        meet = J.dim
+    else:
+        V = hom_components(A).by_kind(kind)
+        meet = J.dim + V.dim - J.add(V).dim
+    return len(kind_basis(A, kind)) - meet + A._nilpotency
+
+
 def capelli_threshold(A, kind, config=DEFAULT_CONFIG, barred=True):
     """Smallest rank at which the whole (barred) Capelli family becomes identities.
 
-    Alternating in more vectors than the component holds is identically zero,
-    so the search ends by search_cap, the component dimension plus one. The
-    report keeps the witness that rules out the rank just below, when one
-    exists. Every rank above the threshold up to search_cap is re-checked,
-    and all ranks share one work budget."""
+    An identity at rank t is one at t + 1: expanding a rank-(t + 1) member
+    along its last alternating slot gives rank-t members on the other slots
+    times further letters. Alternating in more vectors than the component
+    holds is identically zero, so the threshold is at most search_cap, the
+    component dimension plus one, and at most radical_bound's u. The search
+    sweeps down from rank min(u, search_cap) - 1, and the first rank m that is
+    not an identity gives the threshold m + 1 and the witness the report
+    keeps, the only one built and replayed. A threshold u up to the dimension
+    rests on the bound alone, so rank u is swept too, after the witness, and
+    a nonzero there is an InternalInconsistencyError. All ranks share one
+    work budget."""
     meter = Meter(config)
     cap = len(kind_basis(A, kind)) + 1
+    top = min(radical_bound(A, kind), cap)
     deleted = None if barred else frozenset()
-    witness = None
-    for threshold in range(1, cap + 1):
-        raw = _first_nonzero(A, threshold, kind, deleted, meter)
-        if raw is None:
+    threshold, witness = 1, None
+    for m in range(top - 1, 0, -1):
+        raw = _first_nonzero(A, m, kind, deleted, meter)
+        if raw is not None:
+            threshold, witness = m + 1, _build_witness(A, raw)
             break
-        witness = _build_witness(A, raw)
-    for m in range(threshold + 1, cap + 1):
-        if _first_nonzero(A, m, kind, deleted, meter) is not None:
-            raise InternalInconsistencyError(f"identity at rank {threshold} but not at {m}")
+    if threshold == top < cap and _first_nonzero(A, top, kind, deleted, meter) is not None:
+        raise InternalInconsistencyError(f"rank {top} is not an identity, though it is the radical bound")
     return ThresholdReport(kind, threshold, cap, witness)
 
 

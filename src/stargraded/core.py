@@ -136,6 +136,7 @@ class StarSuperAlgebra:
         self.layout = layout
         self._hom = None
         self._radical = None
+        self._nilpotency = None  # the least p with J^p = 0, recorded beside J by jacobson_radical
         self._kind_bases = {}
         self._odd_unit = None  # analysis._odd_central_unit: () when searched and none found
         self._automorphisms = None  # analysis._signed_automorphisms: () when searched and none found
@@ -326,7 +327,10 @@ def _left_trace_weights(A):
 
 
 def jacobson_radical(A):
-    """Radical via the trace form of the regular representation on the unit extension."""
+    """Radical via the trace form of the regular representation on the unit extension.
+
+    Its self-check computes the powers J, J^2, ... until one vanishes; the
+    least p with J^p = 0 is recorded beside J as A._nilpotency."""
     if A._radical is not None:
         return A._radical
     d = A.dim
@@ -343,14 +347,15 @@ def jacobson_radical(A):
     if any(d in v for v in kernel.sparse_basis):
         raise InternalInconsistencyError("radical kernel leaves the algebra")
     J = Subspace(d, kernel.sparse_basis)
-    _verify_radical(A, J)
+    A._nilpotency = _verify_radical(A, J)
     A._radical = J
     return J
 
 
 def _verify_radical(A, J):
-    # two-sided ideal, star- and grading-stable, nilpotent; the products e_i v and
-    # v e_i are summed from the nonzero structure constants, so a vanishing one costs nothing
+    # two-sided ideal, star- and grading-stable, nilpotent, and returns the least p
+    # with J^p = 0; the products e_i v and v e_i are summed from the nonzero
+    # structure constants, so a vanishing one costs nothing
     rows = A.rows
     by_right = [[] for _ in range(A.dim)]  # by_right[j]: (i, e_i e_j) when nonzero
     for i, row in enumerate(rows):
@@ -372,18 +377,21 @@ def _verify_radical(A, J):
             for i in sorted(products):
                 if not J.contains(products[i]):
                     raise InternalInconsistencyError(f"radical not a {side} ideal")
-    if not is_nilpotent(A, J):
+    p = nilpotency_index(A, J)
+    if p is None:
         raise InternalInconsistencyError("radical not nilpotent")
+    return p
 
 
-def is_nilpotent(A, J):
-    """True when some power of the subspace J of A is zero."""
+def nilpotency_index(A, J):
+    """The least p with J^p = 0 for the subspace J of A, 1 when J is zero, or
+    None when no power up to J^(dim A + 1) is zero."""
     power = J
-    for _ in range(A.dim + 1):
+    for p in range(1, A.dim + 2):
         if power.is_zero():
-            return True
+            return p
         power = subspace_product(A, power, J)
-    return False
+    return None
 
 
 def block_unit(A, indices):

@@ -5,8 +5,8 @@ from .core import (
     WedderburnBlock,
     WedderburnData,
     block_unit,
-    is_nilpotent,
     is_star_graded_simple,
+    nilpotency_index,
     require_valid,
 )
 from .linalg import coordinate_span
@@ -16,7 +16,7 @@ def _require_nilpotent(N):
     """Reject a factor that is not trivially graded and nilpotent."""
     if any(N.grading):
         raise ValueError("nilpotent factor must be trivially graded")
-    if not is_nilpotent(N, coordinate_span(N.dim, range(N.dim))):
+    if nilpotency_index(N, coordinate_span(N.dim, range(N.dim))) is None:
         raise ValueError("nilpotent factor is not nilpotent")
 
 

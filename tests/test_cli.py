@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stargraded as sg
-from stargraded import checks, cli, core
+from stargraded import analysis, checks, cli, core
 from stargraded.cli import main
 from stargraded.errors import SizeCapError
 
@@ -430,16 +430,17 @@ def test_barred_sweep_refusal_reports_its_work(tmp_path):
     path = tmp_path / "ut3.json"
     components = "+".join(["m_hl_transpose:1,1"] * 3)
     assert run("--out", str(path), "ut", "--components", components).exit_code == 0
-    # UT3's z+ ranks 1-6 charge 5,705 units in all, the last of them in the
-    # rank-6 proof's whole-basis sweep
-    res = run("--cap-evals", "5704", "threshold", "--input", str(path), "--kind", "z+")
+    # UT3's z+ search sweeps rank 5 for its witness (2,452 units) and then
+    # rank 6 at the radical bound (3,089 units), 5,541 in all, the last of them
+    # in the rank-6 proof's whole-basis sweep: the refusal counts both ranks
+    res = run("--cap-evals", "5540", "threshold", "--input", str(path), "--kind", "z+")
     assert res.exit_code == 2
     assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 6: ")
     work = int(res.output.split(": ")[2].split()[0])
-    assert work == 5_705
-    res = run("--cap-evals", "5705", "threshold", "--input", str(path), "--kind", "z+")
-    assert res.exit_code == 2
-    assert res.output.startswith("refused: barred Capelli sweep of kind z+ at rank 7: ")
+    assert work == 5_541
+    res = run("--cap-evals", "5541", "threshold", "--input", str(path), "--kind", "z+")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1].endswith(",z+,10,,6,ok")
 
 
 def scaled_m11(tmp_path, coeff):
@@ -510,6 +511,18 @@ def test_failed_self_check_exits_three(monkeypatch):
     monkeypatch.setattr(core, "validate", lambda A: ["planted violation"])
     res = run("ut", "--components", "m_hl_transpose:1,0+m_hl_transpose:1,0")
     assert res.exit_code == 3 and "planted violation" in res.output
+
+
+def test_a_radical_bound_below_the_threshold_exits_three(monkeypatch, tmp_path):
+    # UT3's z+ threshold is 6; a bound of 5 is contradicted by the sweep at rank 5
+    path = tmp_path / "ut3.json"
+    components = "+".join(["m_hl_transpose:1,1"] * 3)
+    assert run("--out", str(path), "ut", "--components", components).exit_code == 0
+    monkeypatch.setattr(analysis, "radical_bound", lambda A, kind: 5)
+    res = run("threshold", "--input", str(path), "--kind", "z+")
+    assert res.exit_code == 3
+    (line,) = res.output.splitlines()
+    assert line.startswith("internal inconsistency: rank 5 is not an identity")
 
 
 def test_high_rank_identity_is_answered_without_building_terms():

@@ -15,6 +15,7 @@ from stargraded import analysis
 from stargraded.analysis import (
     Meter,
     RunConfig,
+    ThresholdReport,
     _build_witness,
     _first_nonzero,
     _is_automorphism,
@@ -22,11 +23,12 @@ from stargraded.analysis import (
     _signed_automorphisms,
     _span_sweep,
     kind_basis,
+    radical_bound,
     right_products,
 )
-from stargraded.checks import DIMS_GRID, parse_algebra_spec, parse_ut_spec
-from stargraded.core import sparse_mul
-from stargraded.errors import SizeCapError
+from stargraded.checks import DIMS_GRID, SMALL_SIMPLE_GRID, parse_algebra_spec, parse_ut_spec
+from stargraded.core import grading_projection, sparse_mul, sparse_star
+from stargraded.errors import InternalInconsistencyError, SizeCapError
 from stargraded.linalg import RankTracker, _as_num
 from stargraded.polynomials import ANY, KINDS, CapelliShape, capelli_member, right_row
 
@@ -380,11 +382,12 @@ def test_rank6_zplus_proof_budget_is_its_counted_work():
 
 
 def test_threshold_ranks_share_one_budget():
-    # UT3's z+ threshold is 6: witnesses at ranks 1-5, the rank-6 proof, and the
-    # re-sweep of ranks 7-10, where rank 10 is over the dimension and costs
-    # nothing. The call's budget is the sum of every rank's units, 14,715, far
-    # above the largest rank's 3,709; ranks 6-9 each sweep their first tuple
-    # and then the whole kind basis
+    # UT3's z+ threshold is 6, and so is its radical bound 9 - 6 + 3: the
+    # search sweeps rank 5 for the witness and then rank 6, which must vanish.
+    # The ranks it no longer sweeps are counted here too: ranks 7-9 each sweep
+    # their first tuple and then the whole kind basis, and rank 10 is over the
+    # dimension and costs nothing. The call's budget is the sum of its ranks'
+    # units, 2,452 + 3,089 = 5,541, above rank 6's 3,089 alone
     A = ut3()
     meter = Meter(UNCAPPED)
     units = []
@@ -393,9 +396,9 @@ def test_threshold_ranks_share_one_budget():
         _first_nonzero(A, m, "z+", None, meter)
         units.append(meter.work - before)
     assert units == [1, 38, 57, 68, 2_452, 3_089, 3_167, 3_709, 2_134, 0]
-    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=14_715)).threshold == 6
-    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 9: 14715 units of work in this call, over the cap 14714"):
-        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=14_714))
+    assert sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=5_541)).threshold == 6
+    with pytest.raises(SizeCapError, match=r"kind z\+ at rank 6: 5541 units of work in this call, over the cap 5540"):
+        sg.capelli_threshold(ut3(), "z+", RunConfig(cap_evals=5_540))
 
 
 def test_generator_set_members_share_one_budget():
@@ -578,3 +581,149 @@ def test_whole_basis_sweep_is_bounded_by_its_charge():
     # it as it works
     with pytest.raises(SizeCapError, match=r"^barred Capelli sweep of kind any at rank 15: 10013 units of work in this call, over the cap 10000$"):
         sg.barred_rank_is_identity(ut(3), ANY, 15, RunConfig(cap_evals=10_000))
+
+
+# ------------------------------- the threshold search from the radical bound
+
+
+def reference_capelli_threshold(A, kind, config=UNCAPPED, barred=True):
+    """The search before the radical bound, verbatim: every rank from 1 up to
+    the first identity, a witness built at each, then every rank above it up
+    to search_cap swept again. Returns the report and the units charged."""
+    meter = Meter(config)
+    cap = len(kind_basis(A, kind)) + 1
+    deleted = None if barred else frozenset()
+    witness = None
+    for threshold in range(1, cap + 1):
+        raw = _first_nonzero(A, threshold, kind, deleted, meter)
+        if raw is None:
+            break
+        witness = _build_witness(A, raw)
+    for m in range(threshold + 1, cap + 1):
+        if _first_nonzero(A, m, kind, deleted, meter) is not None:
+            raise InternalInconsistencyError(f"identity at rank {threshold} but not at {m}")
+    return ThresholdReport(kind, threshold, cap, witness), meter.work
+
+
+@pytest.fixture
+def metered(monkeypatch):
+    """Runs capelli_threshold and returns its report and the units it charged."""
+    meters = []
+
+    class Recorded(Meter):
+        def __init__(self, config):
+            meters.append(self)
+            super().__init__(config)
+
+    monkeypatch.setattr(analysis, "Meter", Recorded)
+
+    def call(A, kind, barred=True):
+        meters.clear()
+        rep = sg.capelli_threshold(A, kind, UNCAPPED, barred=barred)
+        (meter,) = meters
+        return rep, meter.work
+
+    return call
+
+
+def projected_radical_dim(A, kind):
+    """dim(J ∩ V_k) as the rank of J's basis projected onto V_k: J is verified
+    star-stable and graded, so the projection of J is J ∩ V_k."""
+    J = sg.jacobson_radical(A)
+    if kind == ANY:
+        return J.dim
+    degree, sign = {"y+": (0, 1), "y-": (0, -1), "z+": (1, 1), "z-": (1, -1)}[kind]
+    rows = []
+    for v in J.sparse_basis:
+        w = grading_projection(A, v, degree)
+        star = sparse_star(A, w)
+        rows.append({k: w.get(k, 0) + sign * star.get(k, 0) for k in w.keys() | star.keys()})
+    return RankTracker(rows).rank
+
+
+def glueing(components, shifts=""):
+    return sg.ut_star(parse_ut_spec(components, shifts))
+
+
+def shift_glueings():
+    """The two glueings of threshold_offsets. On each kind min(u, search_cap)
+    equals the threshold, so the search sweeps no identity rank."""
+    return [glueing("m_hl_transpose:1,0+m_hl_transpose:1,0", s) for s in ("0,0", "0,1")]
+
+
+def above_threshold():
+    """(algebra, kind, u, threshold) with threshold < u <= search_cap: the
+    search starts at an identity rank and sweeps down through it."""
+    return [
+        (glueing("m_hl_transpose:1,0+m_hl_transpose:1,0+m_hl_transpose:1,0", "0,0,1"), "z+", 3, 2),
+        (glueing("mn_cmn_star:1,t+m_hl_transpose:1,0"), ANY, 5, 4),
+        (parse_algebra_spec("tensor[m_hl_transpose:1,1|commutative_nilpotent:2]"), "y+", 4, 3),
+    ]
+
+
+@pytest.mark.parametrize("blocks, bounds", [
+    (2, (6, 2, 4, 4, 10)),
+    (3, (9, 3, 6, 6, 15)),
+    (4, (12, 4, 8, 8, 20)),
+])
+def test_radical_bound_on_ut_glueings(blocks, bounds):
+    # the block law: the component dimension sums plus the block count
+    A = ut(blocks)
+    assert tuple(radical_bound(A, kind) for kind in KINDS + (ANY,)) == bounds
+    assert A._nilpotency == blocks
+    for kind, u in zip(KINDS + (ANY,), bounds):
+        assert u == len(kind_basis(A, kind)) - projected_radical_dim(A, kind) + blocks
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in DIMS_GRID])
+def test_radical_bound_of_a_simple_family_is_its_dimension_plus_one(spec):
+    A = parse_algebra_spec(spec)
+    for kind in KINDS + (ANY,):
+        assert projected_radical_dim(A, kind) == 0
+        assert radical_bound(A, kind) == len(kind_basis(A, kind)) + 1
+    assert A._nilpotency == 1
+
+
+def test_radical_bound_is_never_below_the_threshold(monkeypatch):
+    for A in shift_glueings():
+        for kind in KINDS + (ANY,):
+            assert radical_bound(A, kind) >= sg.capelli_threshold(A, kind).threshold
+    swept = []
+    first = analysis._first_nonzero
+
+    def recorded(A, m, *args):
+        hit = first(A, m, *args)
+        swept.append((m, hit is None))
+        return hit
+
+    monkeypatch.setattr(analysis, "_first_nonzero", recorded)
+    for A, kind, bound, threshold in above_threshold():
+        assert radical_bound(A, kind) == bound <= len(kind_basis(A, kind)) + 1
+        swept.clear()
+        assert sg.capelli_threshold(A, kind).threshold == threshold
+        assert swept == [(bound - 1, True), (threshold - 1, False)]
+
+
+@pytest.mark.parametrize("barred", [True, False])
+def test_threshold_search_matches_the_bottom_up_reference(metered, barred):
+    # same threshold, search_cap and witness, for no more work: the search
+    # sweeps a subset of the reference's ranks
+    cases = (
+        [(parse_algebra_spec(s), kind) for s in SMALL_SIMPLE_GRID for kind in KINDS + (ANY,)]
+        + [(ut(blocks), kind) for blocks in (2, 3) for kind in KINDS]
+        + [(A, kind) for A in shift_glueings() for kind in KINDS + (ANY,)]
+        + [(A, kind) for A, kind, _, _ in above_threshold()]
+    )
+    for A, kind in cases:
+        want, want_units = reference_capelli_threshold(A, kind, barred=barred)
+        got, got_units = metered(A, kind, barred)
+        assert got == want, (A, kind)
+        assert got_units <= want_units, (A, kind)
+
+
+def test_a_radical_bound_below_the_threshold_is_an_inconsistency(monkeypatch):
+    # UT3's z+ threshold is 6. With the bound planted at 5, rank 4 gives the
+    # witness and the threshold 5, and the check of rank 5 finds it nonzero
+    monkeypatch.setattr(analysis, "radical_bound", lambda A, kind: 5)
+    with pytest.raises(InternalInconsistencyError, match=r"^rank 5 is not an identity"):
+        sg.capelli_threshold(ut3(), "z+")
