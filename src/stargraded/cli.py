@@ -67,6 +67,10 @@ def guarded(f):
         except SizeCapError as e:
             click.echo(f"refused: {e}", err=True)
             sys.exit(2)
+        except MemoryError as e:
+            # a refusal, not bad input: the frames the error unwound are freed by now
+            click.echo(f"refused: out of memory{f': {e}' if str(e) else ''}", err=True)
+            sys.exit(2)
         except InternalInconsistencyError as e:
             click.echo(f"internal inconsistency: {e}", err=True)
             sys.exit(3)

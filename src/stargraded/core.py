@@ -314,11 +314,37 @@ def hom_dims(A):
 
 
 def subspace_product(A, U, V):
-    """Span of all pairwise products of the two subspaces' basis vectors."""
+    """Span of all pairwise products of the two subspaces' basis vectors.
+
+    Summed from the product rows: V's basis vectors are indexed by coordinate,
+    and for each u of U's basis, u x is the sum of u_i x_j (e_i e_j) over the
+    nonzero e_i e_j of the rows u reaches, added into each x with x_j != 0.
+    The products of one u go straight into the Subspace, so a pair whose
+    product vanishes costs nothing and no list of all pairs is held."""
     if U.ambient_dim != A.dim or V.ambient_dim != A.dim:
         raise ValueError(f"subspaces of F^{U.ambient_dim} and F^{V.ambient_dim} in dimension {A.dim}")
-    vecs = [sparse_mul(A, su, sv) for su in U.sparse_basis for sv in V.sparse_basis]
-    return Subspace(A.dim, [w for w in vecs if w])
+    having = [[] for _ in range(A.dim)]  # having[j]: (t, x_j) for each V.sparse_basis[t] with x_j != 0
+    for t, x in enumerate(V.sparse_basis):
+        for j, c in x.items():
+            having[j].append((t, c))
+    return Subspace(A.dim, _products(A.rows, U.sparse_basis, having))
+
+
+def _products(rows, us, having):
+    # the products u x of subspace_product, one u at a time; a pair no nonzero
+    # e_i e_j reaches is never made, and the tracker drops the entries that cancel
+    for u in us:
+        acc = {}  # acc[t]: u V.sparse_basis[t] so far
+        for i, ui in u.items():
+            for j, pr in rows[i].items():
+                for t, xj in having[j]:
+                    w = acc.get(t)
+                    if w is None:
+                        w = acc[t] = {}
+                    cij = ui * xj
+                    for k, c in pr:
+                        w[k] = w.get(k, 0) + cij * c
+        yield from acc.values()
 
 
 def _left_trace_weights(A):
@@ -354,8 +380,9 @@ def jacobson_radical(A):
 
 def _verify_radical(A, J):
     # two-sided ideal, star- and grading-stable, nilpotent, and returns the least p
-    # with J^p = 0; the products e_i v and v e_i are summed from the nonzero
-    # structure constants, so a vanishing one costs nothing
+    # with J^p = 0; the products e_i v and v e_i, and the powers of J, are summed
+    # from the nonzero structure constants, so a vanishing one costs nothing and
+    # no sparse_mul is made
     rows = A.rows
     by_right = [[] for _ in range(A.dim)]  # by_right[j]: (i, e_i e_j) when nonzero
     for i, row in enumerate(rows):
@@ -385,7 +412,8 @@ def _verify_radical(A, J):
 
 def nilpotency_index(A, J):
     """The least p with J^p = 0 for the subspace J of A, 1 when J is zero, or
-    None when no power up to J^(dim A + 1) is zero."""
+    None when no power up to J^(dim A + 1) is zero. Each power is one
+    subspace_product, summed from the product rows."""
     power = J
     for p in range(1, A.dim + 2):
         if power.is_zero():
@@ -621,8 +649,10 @@ def direct_sum(A, B):
 
 
 def _frac_str(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    # "n/d" in lowest terms, from an int or a Fraction, which is kept reduced
+    if type(x) is int:
+        return f"{x}/1"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def to_interchange(A):

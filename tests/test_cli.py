@@ -513,6 +513,36 @@ def test_failed_self_check_exits_three(monkeypatch):
     assert res.exit_code == 3 and "planted violation" in res.output
 
 
+MEMORY_CHILD = """
+import sys
+from stargraded import cli
+
+def exhausted(*args, **kwargs):
+    raise MemoryError({message!r})
+
+cli.{name} = exhausted
+cli.main(sys.argv[1:], prog_name="stargraded")
+"""
+
+
+@pytest.mark.parametrize("name, message, args, line", [
+    ("hom_dims", "", ["dims", "--spec", "m_hl_transpose:2,1"], "refused: out of memory"),
+    ("admissible_exponent", "planted", ["exponent", "--spec", "m_hl_transpose:1,1"],
+     "refused: out of memory: planted"),
+])
+def test_out_of_memory_is_a_refusal(name, message, args, line):
+    # exit 2 with one line, not the traceback and exit 1 of an uncaught error
+    src = str(Path(sg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD.format(name=name, message=message), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [line]
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 def test_a_radical_bound_below_the_threshold_exits_three(monkeypatch, tmp_path):
     # UT3's z+ threshold is 6; a bound of 5 is contradicted by the sweep at rank 5
     path = tmp_path / "ut3.json"

@@ -335,6 +335,13 @@ def test_frac_str_lowest_terms():
     assert _frac_str(Fraction(-1, 3)) == "-1/3"
 
 
+@pytest.mark.parametrize("x", [0, 1, -1, -7, 2**64 + 1, -(2**70), Fraction(6, -4), Fraction(5), Fraction(0)])
+def test_frac_str_matches_the_fraction_formatting(x):
+    # ints skip the Fraction; the text is the one Fraction(x) gives
+    f = Fraction(x)
+    assert _frac_str(x) == f"{f.numerator}/{f.denominator}"
+
+
 def test_radical_centralizer_sizes(ut2):
     assert sg.radical_centralizer(ut2).dim == 0
 

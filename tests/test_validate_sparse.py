@@ -1,6 +1,7 @@
 """The axiom checks that walk nonzero products only, against the all-triples
 and dense versions they replace: validate() on planted faults, sparse subspace
-membership, the radical self-checks, and the call count of validate()."""
+membership, the radical self-checks, subspace products and the powers of the
+radical, and the call count of validate()."""
 
 import copy
 import random
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 import stargraded as sg
 from stargraded import core
-from stargraded.checks import parse_algebra_spec, parse_ut_spec
+from stargraded.checks import DIMS_GRID, parse_algebra_spec, parse_ut_spec
 from stargraded.errors import InternalInconsistencyError
-from stargraded.linalg import Subspace, _as_num, mat_mul
+from stargraded.linalg import Subspace, _as_num, coordinate_span, mat_mul
+from test_sweep_pruning import rescaled_by_index
 
 
 def reference_validate(A):
@@ -232,9 +234,10 @@ def test_validate_cost_follows_the_nonzero_products(monkeypatch):
 
 
 def test_radical_ideal_checks_make_no_products(monkeypatch):
-    # the ideal checks sum e_i v and v e_i from the structure table; the 576 calls
-    # are the 24 x 24 products of J^2 in the nilpotency check, where calling
-    # sparse_mul once per basis element and side added 2 * 41 * 24 = 1968 more
+    # the ideal checks sum e_i v and v e_i from the structure table, and the
+    # nilpotency check sums each power of J from the product rows too; pairwise
+    # products made 24 x 24 = 576 calls for J^2, and one call per basis element
+    # and side in the ideal checks added 2 * 41 * 24 = 1968 more
     A = sg.ut_star(parse_ut_spec("mn_cmn_star:2,t+m_hl_transpose:2,1", ""))
     J = sg.jacobson_radical(A)
     assert (A.dim, J.dim) == (41, 24)
@@ -247,4 +250,115 @@ def test_radical_ideal_checks_make_no_products(monkeypatch):
 
     monkeypatch.setattr(core, "sparse_mul", counted)
     core._verify_radical(A, J)
-    assert calls[0] == 24 * 24
+    assert calls[0] == 0
+
+
+def reference_subspace_product(A, U, V):
+    """subspace_product before it summed from the product rows: one sparse_mul
+    per pair of basis vectors, every result held in a list."""
+    if U.ambient_dim != A.dim or V.ambient_dim != A.dim:
+        raise ValueError(f"subspaces of F^{U.ambient_dim} and F^{V.ambient_dim} in dimension {A.dim}")
+    vecs = [core.sparse_mul(A, su, sv) for su in U.sparse_basis for sv in V.sparse_basis]
+    return Subspace(A.dim, [w for w in vecs if w])
+
+
+def reference_nilpotency_index(A, J):
+    """nilpotency_index on the pairwise products."""
+    power = J
+    for p in range(1, A.dim + 2):
+        if power.is_zero():
+            return p
+        power = reference_subspace_product(A, power, J)
+    return None
+
+
+def ut_of(n):
+    return sg.ut_star(parse_ut_spec("+".join(["m_hl_transpose:1,1"] * n), ""))
+
+
+EXTENSIONS = (
+    "one_sided[m_hl_transpose:1,1]",
+    "one_sided[mn_cmn_star:1,t]",
+    "tensor[m_hl_transpose:1,1|noncommutative_nilpotent]",
+    "tensor[m_hl_transpose:1,1|commutative_nilpotent:2]",
+    "commutative_nilpotent:3",
+    "noncommutative_nilpotent",
+)
+
+PRODUCT_CASES = {
+    **{spec: (lambda spec=spec: parse_algebra_spec(spec)) for spec, _ in DIMS_GRID},
+    **{spec: (lambda spec=spec: parse_algebra_spec(spec)) for spec in EXTENSIONS},
+    "UT2": lambda: ut_of(2),
+    "UT3": lambda: ut_of(3),
+    "UT4": lambda: ut_of(4),
+    "ut[mn_cmn_star:2,t+m_hl_transpose:2,1]": lambda: sg.ut_star(parse_ut_spec("mn_cmn_star:2,t+m_hl_transpose:2,1", "")),
+    "rescaled UT3": lambda: rescaled_by_index(ut_of(3)),
+    "rescaled one_sided[m_hl_transpose:1,1]": lambda: rescaled_by_index(
+        parse_algebra_spec("one_sided[m_hl_transpose:1,1]")
+    ),
+    "rescaled tensor": lambda: rescaled_by_index(
+        parse_algebra_spec("tensor[m_hl_transpose:1,1|noncommutative_nilpotent]")
+    ),
+}
+
+
+def product_subspaces(A):
+    """The radical, the four homogeneous components, the whole algebra, the
+    zero subspace and each Wedderburn block's span."""
+    comp = sg.hom_components(A)
+    spaces = [sg.jacobson_radical(A), *(comp.by_kind(kind) for kind in ("y+", "y-", "z+", "z-"))]
+    spaces += [coordinate_span(A.dim, range(A.dim)), Subspace(A.dim)]
+    if A.wedderburn is not None:
+        spaces += [coordinate_span(A.dim, b.indices) for b in A.wedderburn.blocks]
+    return spaces
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_subspace_products_match_the_pairwise_reference(name):
+    A = PRODUCT_CASES[name]()
+    spaces = product_subspaces(A)
+    for U in spaces:
+        for V in spaces:  # both orders of every pair, the zero subspace included
+            assert core.subspace_product(A, U, V) == reference_subspace_product(A, U, V)
+    J = sg.jacobson_radical(A)
+    power = J
+    while not power.is_zero():
+        nxt = core.subspace_product(A, power, J)
+        assert nxt == reference_subspace_product(A, power, J)
+        assert core.subspace_product(A, J, power) == reference_subspace_product(A, J, power)
+        power = nxt
+    # on UT2, UT3 and UT4, p = 2, 3 and 4 (test_radical_bound_on_ut_glueings)
+    assert core.nilpotency_index(A, J) == reference_nilpotency_index(A, J) == A._nilpotency
+    whole = coordinate_span(A.dim, range(A.dim))
+    assert core.nilpotency_index(A, whole) == reference_nilpotency_index(A, whole)
+    assert core.nilpotency_index(A, Subspace(A.dim)) == 1
+
+
+def test_subspace_product_refuses_a_mismatched_dimension():
+    A = ut_of(2)
+    J = sg.jacobson_radical(A)
+    other = coordinate_span(A.dim + 1, range(A.dim + 1))
+    for U, V in ((other, J), (J, other)):
+        with pytest.raises(ValueError, match=r"subspaces of F\^1[67] and F\^1[67] in dimension 16"):
+            core.subspace_product(A, U, V)
+
+
+@st.composite
+def spanning_rows(draw, dim):
+    """Up to four random rows over Q in F^dim, each with a few nonzeros."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        keys = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=4, unique=True))
+        rows.append({k: draw(fractions) for k in keys})
+    return rows
+
+
+UT2 = ut_of(2)
+
+
+@given(spanning_rows(UT2.dim), spanning_rows(UT2.dim))
+@settings(max_examples=150, deadline=None)
+def test_products_of_random_subspaces_match_the_reference(us, vs):
+    U, V = Subspace(UT2.dim, us), Subspace(UT2.dim, vs)
+    assert core.subspace_product(UT2, U, V) == reference_subspace_product(UT2, U, V)
+    assert core.subspace_product(UT2, V, U) == reference_subspace_product(UT2, V, U)
