@@ -781,6 +781,16 @@ def _slot_groups(domains):
     return groups
 
 
+def _image_below(g, moved, rep):
+    """Whether g(rep) < rep on the moved groups, lexicographically: the first
+    group that g does not fix decides, and later groups' images are not built."""
+    for m, k in zip(g, moved):
+        image = tuple(sorted(map(m.__getitem__, rep[k])))
+        if image != rep[k]:
+            return image < rep[k]
+    return False
+
+
 def _representative_columns(A, domains, groups, trie):
     """The _word_columns of each orbit representative, sharing trie, each with
     its label: the representative's index into its domain at every slot, then
@@ -790,10 +800,11 @@ def _representative_columns(A, domains, groups, trie):
     group's domain, non-decreasing: one per orbit of H. When trie holds
     _AUTOMORPHISMS, the g in Aut act on them too (_index_maps): g(a) is g o a
     with each group's indices sorted. a is dropped when some g gives g(a) <
-    a lexicographically, so the least element of each orbit of the group the
-    g generate is kept (McKay 1998). Groups whose domain has fewer than 2
-    vectors are left out, since every g fixes them. The search for Aut, its
-    gate and its charge are _codim_memo's (see _assignment_rank)."""
+    a lexicographically (_image_below), so the least element of each orbit
+    of the group the g generate is kept (McKay 1998). Groups whose domain
+    has fewer than 2 vectors are left out, since every g fixes them. The
+    search for Aut, its gate and its charge are _codim_memo's (see
+    _assignment_rank)."""
     moved = maps = ()
     if trie.get(_AUTOMORPHISMS):
         moved = [k for k, (d, _) in enumerate(groups) if len(d) > 1]
@@ -802,10 +813,8 @@ def _representative_columns(A, domains, groups, trie):
     vecs = [None] * len(domains)
     index = [0] * len(domains)
     for rep in product(*(combinations_with_replacement(range(len(d)), len(slots)) for d, slots in groups)):
-        if maps:
-            least = tuple(rep[k] for k in moved)
-            if any(tuple(tuple(sorted(map(m.__getitem__, rep[k]))) for m, k in zip(g, moved)) < least for g in maps):
-                continue
+        if maps and any(_image_below(g, moved, rep) for g in maps):
+            continue
         for (d, slots), picked in zip(groups, rep):
             for s, t in zip(slots, picked):
                 vecs[s] = d[t]

@@ -11,6 +11,14 @@ _denominator = attrgetter("denominator")
 _is_int = int.__instancecheck__
 
 
+def _primitive(cols, vals):
+    # the sparse row divided by the gcd of its entries, with a positive first entry
+    g = gcd(*vals)
+    if vals[0] < 0:
+        g = -g
+    return cols, vals if g == 1 else [x // g for x in vals]
+
+
 def _as_num(x):
     # keep exact ints as ints, everything else as Fraction
     if isinstance(x, int):
@@ -201,22 +209,43 @@ class RankTracker:
     beats a dict. A dict stays sparse: the next column is the least live
     index, so only pivots the vector reaches are visited and a vector with a
     few nonzeros of a long space costs a few steps. A one-entry dict at a free
-    column or at a stored unit row is settled without elimination. A dict of
-    ints is not rescaled, and neither is a sequence of ints, which is copied
-    as it is. `Subspace` rows and the barred sweep's joined states take the
-    dict path."""
+    column or at a stored unit row is settled without elimination. A dict or
+    a sequence of ints is not rescaled. A tuple of ints that is zero at every
+    stored pivot, so that no row eliminates with it, is kept as given under
+    its first nonzero index: most codimension columns are, and they are never
+    scanned again unless used. Its sparse primitive row is built when an
+    insert first eliminates with it or `reduced` reads it, and stored in its
+    place. A list, a vector with a Fraction entry or one that was eliminated
+    is stored sparse at once, so no caller can change a stored row.
+    `Subspace` rows and the barred sweep's joined states take the dict path."""
 
-    __slots__ = ("pivots", "rows")
+    __slots__ = ("pivots", "rows", "_positions")
 
     def __init__(self, vectors=()):
         self.pivots = []  # ascending
-        self.rows = {}  # pivot -> (columns, values), columns ascending
+        self.rows = {}  # pivot -> (columns, values), columns ascending, or a kept tuple (_row)
+        self._positions = []  # 0, 1, 2, ...: compress over a list of ints beats compress over a range
         for vec in vectors:
             self.add(vec)
 
     @property
     def rank(self):
         return len(self.pivots)
+
+    def _support(self, seq):
+        # the indices of seq's nonzero entries, ascending, as an iterator
+        positions = self._positions
+        if len(positions) < len(seq):
+            positions = self._positions = list(range(len(seq)))
+        return compress(positions, seq)
+
+    def _row(self, c):
+        """The stored row at pivot c as (columns, values), built from a kept
+        tuple of ints, and stored, on first use."""
+        entry = self.rows[c]
+        if type(entry[0]) is int:
+            entry = self.rows[c] = _primitive(list(self._support(entry)), list(filter(None, entry)))
+        return entry
 
     def add(self, vec):
         """Insert a vector of ints and Fractions, a coordinate sequence or a
@@ -235,6 +264,8 @@ class RankTracker:
                     insort(self.pivots, j)
                     rows[j] = ([j], [1])
                     return True
+                if type(entry[0]) is int:
+                    entry = self._row(j)
                 if len(entry[0]) == 1:
                     return False
             if all(map(_is_int, vec.values())):
@@ -253,6 +284,8 @@ class RankTracker:
                 if entry is None:
                     out[c] = w.pop(c)
                     continue
+                if type(entry[0]) is int:
+                    entry = self._row(c)
                 f = w[c]
                 cols, row = entry
                 p = row[0]
@@ -271,6 +304,13 @@ class RankTracker:
             cols, vals = list(out), list(out.values())
         else:
             if type(sum(vec)) is int:  # no Fraction entry, as one makes the sum a Fraction
+                if type(vec) is tuple and not any(map(vec.__getitem__, self.pivots)):
+                    c = next(self._support(vec), None)
+                    if c is None:
+                        return False
+                    insort(self.pivots, c)
+                    rows[c] = vec
+                    return True
                 w = list(vec)
             else:
                 den = lcm(*set(map(_denominator, vec)))
@@ -279,7 +319,7 @@ class RankTracker:
                 f = w[c]
                 if not f:
                     continue
-                cols, row = rows[c]
+                cols, row = self._row(c)
                 p = row[0]
                 g = gcd(p, f)
                 if g != p:
@@ -288,15 +328,12 @@ class RankTracker:
                 f //= g
                 for j, x in zip(cols, row):
                     w[j] -= f * x
-            cols = list(compress(range(len(w)), w))
+            cols = list(self._support(w))
             vals = list(filter(None, w))
         if not cols:
             return False
-        g = gcd(*vals)
-        if vals[0] < 0:
-            g = -g
         insort(self.pivots, cols[0])
-        rows[cols[0]] = (cols, [x // g for x in vals])
+        rows[cols[0]] = _primitive(cols, vals)
         return True
 
     def reduced(self):
@@ -309,7 +346,7 @@ class RankTracker:
         int entry that the pivot divides stays an int."""
         out = {}
         for c in reversed(self.pivots):
-            cols, vals = self.rows[c]
+            cols, vals = self._row(c)
             w = dict(zip(cols, vals))
             for j, f in zip(cols[1:], vals[1:]):
                 red = out.get(j)

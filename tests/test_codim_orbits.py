@@ -765,3 +765,58 @@ def test_a_label_names_its_column_and_the_image_label_names_the_image(spec):
                     assert assignment_columns(A, domains, image)[k] == g(col) == reindexed(col, tau)
                     checked += 1
     assert checked > 0
+
+
+# ------------------------------------------------------------------ least images
+
+
+def old_image_below(g, moved, rep):
+    """g(rep) < rep as first written: every moved group's image built, then
+    the tuples of groups compared."""
+    least = tuple(rep[k] for k in moved)
+    return tuple(tuple(sorted(map(m.__getitem__, rep[k]))) for m, k in zip(g, moved)) < least
+
+
+@st.composite
+def least_image_cases(draw):
+    """A representative, one non-decreasing index tuple per slot group; the
+    groups whose domain has two vectors or more; and index permutations of
+    those domains, one per moved group for each g."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rep = tuple(
+        tuple(sorted(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3)))) for d in sizes
+    )
+    moved = [k for k, d in enumerate(sizes) if d > 1]
+    group_maps = st.tuples(*(st.permutations(range(sizes[k])).map(tuple) for k in moved))
+    return rep, moved, draw(st.lists(group_maps, max_size=6))
+
+
+@given(least_image_cases())
+@example((((1, 1), (0, 0)), [0, 1], [((0, 1), (1, 0)), ((1, 0), (0, 1))]))
+@settings(max_examples=300, deadline=None)
+def test_the_least_image_test_decides_as_the_whole_tuple_compare(case):
+    # the example's first g fixes group 0 and moves group 1 up; its second
+    # moves group 0 down: group 1's image is never built
+    rep, moved, maps = case
+    for g in maps:
+        assert analysis._image_below(g, moved, rep) is old_image_below(g, moved, rep)
+
+
+@pytest.mark.parametrize("spec", ("m_hl_transpose:1,1", "mn_cmn_star:2,t", UT2))
+def test_the_least_image_test_keeps_the_seeds_of_the_whole_tuple_compare(monkeypatch, spec):
+    A = build(spec)
+    analysis._signed_automorphisms(A)
+    assert len(A._automorphisms) > 1
+    compared = 0
+    for content in [c for n in range(2, 5) for c in analysis._contents(n)]:
+        domains = content_domains(A, content)
+        if any(not d for d in domains):
+            continue
+        groups = analysis._slot_groups(domains)
+        got = list(analysis._representative_columns(A, domains, groups, {analysis._AUTOMORPHISMS: True}))
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_image_below", old_image_below)
+            want = list(analysis._representative_columns(A, domains, groups, {analysis._AUTOMORPHISMS: True}))
+        assert got == want
+        compared += 1
+    assert compared > 0

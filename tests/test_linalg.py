@@ -1,7 +1,10 @@
 """Exact rational linear algebra: ranks, solving, subspaces, rank trackers, and
 the integer elimination against the dense Fraction Gauss-Jordan it replaced."""
 
+from bisect import insort
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,8 @@ from stargraded.linalg import (
     RankTracker,
     Subspace,
     _as_num,
+    _denominator,
+    _is_int,
     _kernel,
     coordinate_span,
     mat_mul,
@@ -435,6 +440,186 @@ def test_rank_tracker_dict_keys_are_indices():
     tr = RankTracker([{0: 5, 2: 7}])
     assert tr.rows == {0: ([0, 2], [5, 7])}
     assert not tr.add([Fraction(5, 3), 0, Fraction(7, 3)])
+
+
+class ReferenceTracker(RankTracker):
+    """RankTracker with `add` as it was before a tuple of ints that no stored
+    row eliminates with was kept as given: every row is stored sparse at once."""
+
+    def add(self, vec):
+        """Insert a vector of ints and Fractions, a coordinate sequence or a
+        sparse dict {index: coeff}; returns True if it increased the rank."""
+        rows = self.rows
+        if isinstance(vec, dict):
+            if len(vec) == 1:
+                # {j: x} at a free column is the new primitive row e_j, and
+                # against a stored unit row e_j it is dependent: full
+                # elimination would leave exactly that
+                ((j, x),) = vec.items()
+                if not x:
+                    return False
+                entry = rows.get(j)
+                if entry is None:
+                    insort(self.pivots, j)
+                    rows[j] = ([j], [1])
+                    return True
+                if len(entry[0]) == 1:
+                    return False
+            if all(map(_is_int, vec.values())):
+                w = {j: x for j, x in vec.items() if x}
+            else:
+                den = lcm(*{x.denominator for x in vec.values()})
+                w = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+            out = {}  # final entries, each left of every live one, ascending
+            last = self.pivots[-1] if self.pivots else -1
+            while w:
+                c = min(w)
+                if c > last:
+                    out.update(sorted(w.items()))
+                    break
+                entry = rows.get(c)
+                if entry is None:
+                    out[c] = w.pop(c)
+                    continue
+                f = w[c]
+                cols, row = entry
+                p = row[0]
+                g = gcd(p, f)
+                if g != p:
+                    p //= g
+                    w = {j: p * x for j, x in w.items()}
+                    out = {j: p * x for j, x in out.items()}
+                f //= g
+                for j, x in zip(cols, row):
+                    y = w.get(j, 0) - f * x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
+            cols, vals = list(out), list(out.values())
+        else:
+            if type(sum(vec)) is int:  # no Fraction entry, as one makes the sum a Fraction
+                w = list(vec)
+            else:
+                den = lcm(*set(map(_denominator, vec)))
+                w = [x.numerator * (den // x.denominator) for x in vec]
+            for c in self.pivots:
+                f = w[c]
+                if not f:
+                    continue
+                cols, row = rows[c]
+                p = row[0]
+                g = gcd(p, f)
+                if g != p:
+                    p //= g
+                    w = [p * x for x in w]
+                f //= g
+                for j, x in zip(cols, row):
+                    w[j] -= f * x
+            cols = list(compress(range(len(w)), w))
+            vals = list(filter(None, w))
+        if not cols:
+            return False
+        g = gcd(*vals)
+        if vals[0] < 0:
+            g = -g
+        insort(self.pivots, cols[0])
+        rows[cols[0]] = (cols, [x // g for x in vals])
+        return True
+
+
+@st.composite
+def mixed_inserts(draw):
+    """Int vectors of one length, each passed as an int tuple, a Fraction
+    tuple, a list or a dict. Among them are zero vectors, repeats and
+    combinations of earlier ones, multiples of one unit vector, negative
+    leading entries and non-primitive vectors (a common factor 2, 3 or 6)."""
+    m = draw(st.integers(1, 6))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6])
+    factor = st.sampled_from([1, 1, -1, 2, -3, 6])
+    ints = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "unit", "repeat", "combination"]))
+        if kind == "zero":
+            vec = [0] * m
+        elif kind == "unit":
+            vec = [0] * m
+            vec[draw(st.integers(0, m - 1))] = draw(factor)
+        elif kind == "repeat" and ints:
+            vec = [draw(factor) * x for x in draw(st.sampled_from(ints))]
+        elif kind == "combination" and len(ints) > 1:
+            a, b = draw(st.sampled_from(ints)), draw(st.sampled_from(ints))
+            s, t = draw(small), draw(small)
+            vec = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            f = draw(factor)
+            vec = [f * draw(small) for _ in range(m)]
+        ints.append(vec)
+    vecs = []
+    for vec in ints:
+        form = draw(st.sampled_from(["tuple", "tuple", "fractions", "list", "dict"]))
+        if form == "tuple":
+            vecs.append(tuple(vec))
+        elif form == "fractions":
+            d = draw(st.sampled_from([1, 2, 3]))
+            vecs.append(tuple(Fraction(x, d) for x in vec))
+        elif form == "list":
+            vecs.append(list(vec))
+        else:
+            vecs.append({j: x for j, x in enumerate(vec) if x or draw(st.booleans())})
+    return vecs
+
+
+@given(mixed_inserts())
+@example([(0, -4, 0, 6), (0, 2, 1, 0)])
+@example([(2, 0, 4), {1: 3}, (0, 6, 0), {1: 5}, (Fraction(1, 2), 0, 1)])
+@example([(0, 0, 0), [0, 3, 0], (0, -6, 0), (0, 0, 9), {2: 2}])
+@settings(max_examples=300, deadline=None)
+def test_kept_tuples_give_the_rows_of_the_eager_tracker(vecs):
+    # one tracker's reduced() is read after every insert, which builds every
+    # kept row at once; the other's only at the end, so later inserts build
+    # kept rows by eliminating with them. The first example eliminates with a
+    # kept tuple with a negative, non-primitive leading entry; the second
+    # meets kept tuples with one-entry dicts, at a unit row and at a row that
+    # is not one
+    ref, eager, lazy = ReferenceTracker(), RankTracker(), RankTracker()
+    for vec in vecs:
+        want = ref.add(vec)
+        assert eager.add(vec) is want
+        assert lazy.add(vec) is want
+        assert eager.pivots == lazy.pivots == ref.pivots
+        assert eager.reduced() == ref.reduced()
+        assert eager.rows == ref.rows
+    assert lazy.reduced() == ref.reduced()
+    assert lazy.rows == ref.rows
+
+
+def test_a_list_changed_after_add_changes_no_stored_row():
+    vec = [0, 2, -4, 6]
+    tr = RankTracker()
+    assert tr.add(vec)
+    vec[1:] = [5, 0, 0]
+    assert tr.rows == {1: ([1, 2, 3], [1, -2, 3])}
+    assert tr.add([0, 1, 0, 0])
+    assert tr.reduced() == ReferenceTracker([[0, 2, -4, 6], [0, 1, 0, 0]]).reduced()
+
+
+def test_a_kept_tuple_is_made_sparse_when_first_used():
+    col = (0, -4, 0, 6, 2)
+    want = {1: ([1, 3, 4], [2, -3, -1])}
+    # kept as given until a later insert eliminates with it
+    tr = RankTracker([col])
+    assert tr.rows[1] is col
+    assert tr.add((0, 1, 5, 0, 0))
+    assert tr.rows == ReferenceTracker([col, (0, 1, 5, 0, 0)]).rows
+    # or until reduced() reads it: a zero vector and one that is zero at
+    # pivot 1 do not touch it
+    tr = RankTracker([col])
+    assert not tr.add((0, 0, 0, 0, 0))
+    assert tr.add((0, 0, 3, 0, 0))
+    assert tr.rows[1] is col and tr.rows[2] == (0, 0, 3, 0, 0)
+    assert tr.reduced() == [{1: 1, 3: Fraction(-3, 2), 4: Fraction(-1, 2)}, {2: 1}]
+    assert tr.rows == {**want, 2: ([2], [1])}
 
 
 def test_subspace_operations():
